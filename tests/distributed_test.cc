@@ -239,7 +239,7 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   const fs::path all = dir_ / "all";
   const auto paths = mem.WriteDirectory(all);
 
-  // The single-node reference: the legacy-exact threads=1 batch merge.
+  // The single-node reference: the default (threads=1) batch merge.
   TraceSet full = TraceSet::OpenDirectory(all);
   const MergeResult batch = MergeTraces(full, MergeConfig{});
   ASSERT_GT(batch.jframes.size(), 100u);

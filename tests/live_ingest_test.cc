@@ -152,7 +152,7 @@ TEST_P(LiveVsBatch, ByteIdenticalToBatchOfFinishedFiles) {
   const LiveRun live = RunLiveSession(dir_, n, threads);
   writer_thread.join();
 
-  const MergeResult batch = BatchMerge(dir_);  // threads=1 legacy reference
+  const MergeResult batch = BatchMerge(dir_);  // threads=1 reference
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(live.jframes, batch.jframes);
   ExpectEqualStats(live.stats.stats, batch.stats);

@@ -224,7 +224,7 @@ class SpillDeterminism : public SpillTest,
 
 TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   const unsigned threads = GetParam();
-  // The reference: legacy single-threaded merge, no spill.
+  // The reference: the default merge, no spill.
   TraceSet reference_traces = MultiChannelNetwork(77).Build();
   const MergeResult reference = MergeTraces(reference_traces);
   ASSERT_GT(reference.jframes.size(), 100u);
@@ -234,7 +234,7 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   // disk — SpillLaggard pins that the disk path really runs under lag.
   // Here the pin is the determinism contract: whatever each threshold
   // makes the tier do (including engaging and disengaging mid-stream),
-  // the stream must be byte-identical to the no-spill legacy reference.
+  // the stream must be byte-identical to the no-spill reference.
   const SpillMode modes[] = {
       {"disabled", false, 0},
       {"forced", true, 1},     // any round residue at all rides the disk
@@ -256,7 +256,7 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
     ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
     ExpectIdenticalStreams(streamed, reference.jframes);
     ExpectEqualStats(session.stats(), reference.stats);
-    if (mode.enabled && threads != 1) {
+    if (mode.enabled) {
       // Completion reclaims every segment: nothing may outlive the run.
       EXPECT_EQ(session.spill_bytes_on_disk(), 0u);
       std::size_t leftovers = 0;
@@ -340,20 +340,18 @@ TEST_P(SpillLaggard, SpillsWhileGatedAndDrainsByteIdentical) {
   ASSERT_EQ(session.Poll(), MergeSession::Status::kStarved);
   ASSERT_EQ(session.Poll(), MergeSession::Status::kStarved);
 
-  if (threads != 1) {
-    // The gated shards' backlog went to disk, not memory.
-    EXPECT_GT(session.spilled_jframes(), 0u);
-    EXPECT_GT(session.spill_bytes_on_disk(), 0u);
+  // The gated shards' backlog went to disk, not memory.
+  EXPECT_GT(session.spilled_jframes(), 0u);
+  EXPECT_GT(session.spill_bytes_on_disk(), 0u);
 
-    // Against the identical no-spill session, in-memory retention shrinks
-    // by a wide margin: the backlog sits in segments instead of queues.
-    TraceSet nospill_traces = TraceSet::FollowDirectory(trace_dir, n);
-    MergeConfig nospill_cfg;
-    nospill_cfg.threads = threads;
-    MergeSession nospill(nospill_traces, nospill_cfg, [](JFrame&&) {});
-    ASSERT_EQ(nospill.Poll(), MergeSession::Status::kStarved);
-    EXPECT_LT(2 * session.retained_jframes(), nospill.retained_jframes());
-  }
+  // Against the identical no-spill session, in-memory retention shrinks by
+  // a wide margin: the backlog sits in segments instead of queues.
+  TraceSet nospill_traces = TraceSet::FollowDirectory(trace_dir, n);
+  MergeConfig nospill_cfg;
+  nospill_cfg.threads = threads;
+  MergeSession nospill(nospill_traces, nospill_cfg, [](JFrame&&) {});
+  ASSERT_EQ(nospill.Poll(), MergeSession::Status::kStarved);
+  EXPECT_LT(2 * session.retained_jframes(), nospill.retained_jframes());
 
   // The laggard catches up: everything replays and the stream equals the
   // batch merge — the detour through disk lost and reordered nothing.
