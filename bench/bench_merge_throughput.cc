@@ -68,10 +68,10 @@ void BM_MergePipeline(benchmark::State& state) {
 BENCHMARK(BM_MergePipeline)->Arg(10)->Arg(20)->Arg(30)->Arg(39)
     ->Unit(benchmark::kMillisecond);
 
-// Thread-count sweep over the sharded parallel merge on the full
-// multi-pod workload.  Arg 0 = auto (one worker per channel shard); arg 1
-// is the exact legacy single-threaded path.  The streaming sink counts
-// jframes so the measurement excludes result materialization.
+// Thread-count sweep over the sharded merge on the full multi-pod
+// workload.  Arg 0 = auto (one worker per channel shard); arg 1 is one
+// worker stepping every shard inline on the calling thread.  The streaming
+// sink counts jframes so the measurement excludes result materialization.
 void BM_MergeParallel(benchmark::State& state) {
   Workload& w = WorkloadForPods(39);
   MergeConfig cfg;

@@ -14,7 +14,7 @@
 //                 [--spill-threshold <n>] [--stats-json <file>]
 //                 [--mmap] [--pin-threads]
 //                                   run the merge, print summary statistics
-//                                   (threads: 0 = auto, 1 = single-threaded;
+//                                   (threads: 0 = auto, 1 = one worker;
 //                                   --spill-dir stages shard backlog on disk
 //                                   instead of throttling at the watermark;
 //                                   --spill-threshold overrides the queue
