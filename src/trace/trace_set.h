@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -80,6 +81,70 @@ class FileTrace final : public RecordStream {
 
  private:
   TraceFileReader reader_;
+};
+
+// Pass-through record stream that tracks its consumption high-water mark:
+// the most records its cursor has ever passed.  The mark survives Rewind,
+// so the merge's re-reads from record zero (bootstrap readiness scan,
+// BootstrapSynchronize, unifiers) do not move it.  `on_advance`, when set,
+// runs once per record, the first time the cursor passes it; re-reads
+// below the mark make no call.
+class HighWaterTrace final : public RecordStream {
+ public:
+  using OnAdvance = std::function<void(const CaptureRecord&)>;
+
+  explicit HighWaterTrace(std::unique_ptr<RecordStream> inner,
+                          OnAdvance on_advance = nullptr)
+      : owned_(std::move(inner)),
+        inner_(*owned_),
+        on_advance_(std::move(on_advance)) {}
+  // Borrows `inner`, which must outlive the tap.
+  explicit HighWaterTrace(RecordStream& inner, OnAdvance on_advance = nullptr)
+      : inner_(inner), on_advance_(std::move(on_advance)) {}
+
+  const TraceHeader& header() const override { return inner_.header(); }
+  std::optional<CaptureRecord> Next() override {
+    std::optional<CaptureRecord> rec = inner_.Next();
+    Advance(rec ? &*rec : nullptr);
+    return rec;
+  }
+  const CaptureRecord* NextRef() override {
+    const CaptureRecord* rec = inner_.NextRef();
+    Advance(rec);
+    return rec;
+  }
+  void Rewind() override {
+    inner_.Rewind();
+    pos_ = 0;
+    at_end_ = false;
+  }
+  bool Finalized() const override { return inner_.Finalized(); }
+
+  std::uint64_t high_water() const { return high_; }
+
+  // True once every record the source will ever hold has passed the mark:
+  // the source is finalized, this cursor was probed past its end, and no
+  // rewound re-read is still below the mark.  Finalized() alone is not
+  // enough — the reader may not have consumed the tail yet.
+  bool Drained() const { return at_end_ && pos_ == high_; }
+
+ private:
+  void Advance(const CaptureRecord* rec) {
+    if (rec == nullptr) {
+      at_end_ = inner_.Finalized();
+      return;
+    }
+    if (++pos_ <= high_) return;
+    high_ = pos_;
+    if (on_advance_) on_advance_(*rec);
+  }
+
+  std::unique_ptr<RecordStream> owned_;  // null when borrowing
+  RecordStream& inner_;
+  OnAdvance on_advance_;
+  std::uint64_t pos_ = 0;
+  std::uint64_t high_ = 0;
+  bool at_end_ = false;
 };
 
 struct ChannelShard;
