@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "trace/trace_file.h"
 #include "util/compression.h"
@@ -177,6 +178,36 @@ int main(int argc, char** argv) {
       WriteSeed(root / "fuzz_jframe_deserialize",
                 "jframe" + std::to_string(i) + ".bin", out);
     }
+  }
+
+  // --- fuzz_checkpoint_load: empty and populated checkpoints -------------
+  {
+    jig::Checkpoint empty;
+    empty.deployment = "seed";
+    jig::SaveCheckpoint(scratch / "empty.jigc", empty);
+    WriteSeed(root / "fuzz_checkpoint_load", "empty_checkpoint.bin",
+              Slurp(scratch / "empty.jigc"));
+
+    jig::Checkpoint full;
+    full.deployment = "building-1";
+    full.emitted = 1234;
+    full.active_sequence = 3;
+    full.active_base = 1000;
+    for (std::uint32_t radio = 0; radio < 4; ++radio) {
+      full.frontiers.push_back({radio, 500u + radio, radio % 2 == 0});
+    }
+    for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+      jig::OutputSegmentInfo seg;
+      seg.sequence = seq;
+      seg.base_index = (seq - 1) * 500;
+      seg.max_timestamp = static_cast<std::int64_t>(seq * 1'000'000);
+      seg.bytes = 8192 * seq;
+      seg.sealed = seq < 3;
+      full.segments.push_back(seg);
+    }
+    jig::SaveCheckpoint(scratch / "full.jigc", full);
+    WriteSeed(root / "fuzz_checkpoint_load", "full_checkpoint.bin",
+              Slurp(scratch / "full.jigc"));
   }
 
   std::error_code ec;

@@ -163,7 +163,17 @@ Checkpoint LoadCheckpoint(const fs::path& path) {
     cp.emitted = r.U64();
     cp.active_sequence = r.U64();
     cp.active_base = r.U64();
+    // Each table entry has a fixed wire size (frontier u32+u64+u8, segment
+    // u64+u64+i64+u64+u8); a declared count the remaining bytes cannot
+    // hold is corrupt, and reserving for it unchecked would let a CRC-valid
+    // file demand gigabytes up front.
+    constexpr std::size_t kFrontierWireBytes = 4 + 8 + 1;
+    constexpr std::size_t kSegmentWireBytes = 8 + 8 + 8 + 8 + 1;
     const std::uint32_t n_frontiers = r.U32();
+    if (n_frontiers > r.remaining() / kFrontierWireBytes) {
+      throw TraceCorruptError("checkpoint frontier count exceeds file: " +
+                              path.string());
+    }
     cp.frontiers.reserve(n_frontiers);
     for (std::uint32_t i = 0; i < n_frontiers; ++i) {
       RadioFrontier fr;
@@ -173,6 +183,10 @@ Checkpoint LoadCheckpoint(const fs::path& path) {
       cp.frontiers.push_back(fr);
     }
     const std::uint32_t n_segments = r.U32();
+    if (n_segments > r.remaining() / kSegmentWireBytes) {
+      throw TraceCorruptError("checkpoint segment count exceeds file: " +
+                              path.string());
+    }
     cp.segments.reserve(n_segments);
     for (std::uint32_t i = 0; i < n_segments; ++i) {
       OutputSegmentInfo seg;

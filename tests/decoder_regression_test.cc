@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "trace/trace_file.h"
 #include "util/byte_io.h"
 #include "util/compression.h"
+#include "util/crc32.h"
 
 namespace jig {
 namespace {
@@ -279,6 +281,61 @@ TEST_F(DecoderRegressionTest, SpillHostileBlockLengthIsCorrupt) {
         },
         TraceCorruptError);
   }
+}
+
+// ---------------------------------------------------------------------------
+// .jigc checkpoint loader.
+
+// A CRC-valid checkpoint for deployment "d" with one frontier and one
+// segment; the tables start at byte 34 (magic, version, varint name
+// length, name, three u64s).
+constexpr std::size_t kCheckpointFrontierCountAt = 34;
+constexpr std::size_t kCheckpointSegmentCountAt =
+    kCheckpointFrontierCountAt + 4 + 13;
+
+Bytes MakeValidCheckpoint(const fs::path& dir) {
+  Checkpoint cp;
+  cp.deployment = "d";
+  cp.frontiers.push_back({7, 100, true});
+  OutputSegmentInfo seg;
+  seg.sequence = 1;
+  seg.bytes = 4096;
+  cp.segments.push_back(seg);
+  const fs::path path = dir / "valid.jigc";
+  SaveCheckpoint(path, cp);
+  return Slurp(path);
+}
+
+// Re-seals the CRC trailer so a patched body reaches the parser.
+void ResealCheckpoint(Bytes& bytes) {
+  const std::uint32_t crc = Crc32({bytes.data(), bytes.size() - 4});
+  PutU32At(bytes, bytes.size() - 4, crc);
+}
+
+// Minimized crasher: a CRC-valid checkpoint declaring 0xFFFFFFFF
+// frontiers.  The unhardened loader reserved 24 bytes per declared entry
+// (~100 GB) before reading any of them.
+TEST_F(DecoderRegressionTest, CheckpointHostileFrontierCountIsCorrupt) {
+  Bytes bytes = MakeValidCheckpoint(dir_);
+  ASSERT_EQ(GetU32(bytes, kCheckpointFrontierCountAt), 1u);
+  PutU32At(bytes, kCheckpointFrontierCountAt, 0xFFFFFFFFu);
+  ResealCheckpoint(bytes);
+  const auto path = Write("hostile_frontiers.jigc", bytes);
+  EXPECT_THROW(LoadCheckpoint(path), TraceCorruptError);
+}
+
+// The same for the segment table (40 bytes reserved per declared entry).
+TEST_F(DecoderRegressionTest, CheckpointHostileSegmentCountIsCorrupt) {
+  Bytes bytes = MakeValidCheckpoint(dir_);
+  ASSERT_EQ(GetU32(bytes, kCheckpointSegmentCountAt), 1u);
+  PutU32At(bytes, kCheckpointSegmentCountAt, 0xFFFFFFFFu);
+  ResealCheckpoint(bytes);
+  const auto path = Write("hostile_segments.jigc", bytes);
+  EXPECT_THROW(LoadCheckpoint(path), TraceCorruptError);
+  // The unpatched file still loads: the bound rejects only lies.
+  const Checkpoint cp = LoadCheckpoint(dir_ / "valid.jigc");
+  EXPECT_EQ(cp.frontiers.size(), 1u);
+  EXPECT_EQ(cp.segments.size(), 1u);
 }
 
 }  // namespace
