@@ -75,14 +75,16 @@ struct JFrame {
 // has taken what it wants, and steady-state emission stops allocating.
 //
 // Deliberately unsynchronized.  Within a MergeSession each shard owns one
-// pool, and the existing round barrier already serializes worker-phase
-// accesses (unifier Acquire, spill-drain Recycle) against merge-phase
-// accesses (emit Recycle) — the same happens-before discipline that
-// protects the shard queues themselves.
+// pool, and the round barrier serializes worker-phase accesses (unifier
+// Acquire, spill-drain Recycle) against merge-phase accesses (the staged
+// batch's Recycle, after the round that overlapped its emission has
+// joined) — the same happens-before discipline that protects the shard
+// queues themselves.
 class JFramePool {
  public:
-  explicit JFramePool(std::size_t max_pooled = 4096)
-      : max_pooled_(max_pooled) {}
+  // `max_pooled` caps the parked carcasses; the merge sets it to what one
+  // round can hand back to a shard.
+  explicit JFramePool(std::size_t max_pooled) : max_pooled_(max_pooled) {}
 
   JFrame Acquire() {
     if (pool_.empty()) return JFrame{};

@@ -96,6 +96,12 @@ Micros EffectiveHorizon(const MergeConfig& config) {
 
 constexpr std::size_t kUnifyStep = 1024;  // groups per scheduling slice
 
+// A merge pass stages at most this many jframes from one shard, so the next
+// round still has room to unify under the watermark while the sink runs.
+// It is also what one round can return to a shard's JFramePool, so the
+// pool is capped there.
+constexpr std::size_t kStagedPerShard = kMergeQueueWatermark / 2;
+
 unsigned ResolveWorkers(unsigned threads, std::size_t shard_count) {
   unsigned n = threads;
   if (n == 0) {
@@ -113,6 +119,9 @@ struct PipelineMetrics {
   obs::Counter& shard_jframes = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_jframes_total",
       "JFrames produced by unifiers (all shards)");
+  obs::Counter& shard_resyncs = obs::MetricRegistry::Global().GetCounter(
+      "jig_shard_resyncs_total",
+      "Clock resynchronizations performed by unifiers (all shards)");
   obs::Counter& rounds = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_rounds_total", "Sharded merge rounds executed");
   obs::Gauge& queue_peak = obs::MetricRegistry::Global().GetGauge(
@@ -120,7 +129,8 @@ struct PipelineMetrics {
       "High-watermark of any single shard queue depth");
   obs::Histogram& round_wait_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_shard_round_wait_us", obs::LatencyBucketsUs(),
-      "Poll-thread wait at the round barrier (pool mode only)");
+      "Poll-thread wait at the round barrier the sink did not cover (pool "
+      "mode only)");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
       "JFrames emitted by the k-way merge");
@@ -185,11 +195,15 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // The merge runs in rounds: the workers step every shard's unifier (each
 // bounded by the queue watermark), a barrier joins the round, then the
 // Poll() thread k-way merges the shard queues as far as every shard has
-// either a head or a final end-of-stream.  With one worker no pool is
-// started: a round runs inline on the Poll() thread and advances only the
-// shard furthest behind in capture time, by one slice.  Between rounds the
-// workers are idle, which is what makes the session resumable: Poll()
-// simply stops scheduling rounds once no shard can advance.
+// either a head or a final end-of-stream.  The merge pass only stages what
+// it pops; the sink sees that batch while the workers run the next round,
+// so unifying and emitting overlap instead of taking turns.  Everything
+// the workers share with the Poll thread (shard queues, spill replay, the
+// jframe pools) is still touched only between rounds.  With one worker no
+// pool is started: the same loop runs inline, and a round advances only
+// the shard furthest behind in capture time, by one slice.  Poll() stops
+// scheduling rounds once no shard can advance and nothing is staged, which
+// is what makes the session resumable.
 
 struct MergeSession::Impl {
   struct LiveShard {
@@ -204,17 +218,26 @@ struct MergeSession::Impl {
     // whole ordering argument for spill-mode byte-identity.
     std::unique_ptr<SpillQueue> spill;
     bool spilling = false;
-    // Consumer-side staging for the k-way merge's peek (Pop() is
+    // Consumer-side slot for the k-way merge's peek (Pop() is
     // destructive); counts as retained.
     std::optional<JFrame> spill_head;
-    // Arena: the unifier acquires, the emit path and spill drain recycle.
-    // Worker-phase and merge-phase accesses are serialized by the round
-    // barrier — see JFramePool.
-    JFramePool pool;
+    // Arena: the unifier acquires, spill drain and the staged batch's
+    // return recycle.  Worker-phase and merge-phase accesses are
+    // serialized by the round barrier — see JFramePool.
+    JFramePool pool{kStagedPerShard};
+    // This shard's jframes in the staged batch.  Set between rounds; the
+    // worker counts them against the watermark while the sink drains them.
+    std::size_t staged = 0;
     // Unifier totals already in the shard counters (totals, not per-call
     // deltas: the unifier's constructor already reads a head per trace).
     std::uint64_t events_published = 0;
     std::uint64_t jframes_published = 0;
+    std::uint64_t resyncs_published = 0;
+  };
+
+  struct StagedJFrame {
+    LiveShard* shard;  // whose pool gets the carcass back
+    JFrame jf;
   };
 
   TraceSet& traces;
@@ -249,6 +272,12 @@ struct MergeSession::Impl {
   bool shutdown = false;
   bool round_progress = false;
   std::vector<std::exception_ptr> round_errors;
+
+  // The last merge pass's output, in emission order, and whether that pass
+  // stopped at a shard with nothing consumable (rather than at the staging
+  // cap): only then is queue residue lag that may engage the spill tier.
+  std::vector<StagedJFrame> staged;
+  bool merge_gated = false;
 
   std::uint64_t emitted = 0;
   std::size_t peak_retained = 0;
@@ -398,7 +427,8 @@ struct MergeSession::Impl {
   // replay reclaims segments.  Returns true if anything moved to disk.
   bool MaybeSpill(LiveShard& ls) {
     if (ls.spill == nullptr) return false;
-    if (!ls.spilling && ls.queue.size() < config.spill_threshold) {
+    if (!ls.spilling &&
+        (!merge_gated || ls.queue.size() < config.spill_threshold)) {
       return false;
     }
     ls.spilling = true;
@@ -421,17 +451,21 @@ struct MergeSession::Impl {
   // consumed, produced or spilled.
   //
   // The engage decision runs once, at round entry: a queue still at or
-  // past the threshold *here* is what the consumer's last drain pass
-  // could not take — actual lag.  The transient fill while this round's
-  // unifier runs is not lag (the consumer never gets to run mid-round),
-  // so it must not engage the tier: otherwise a plain batch merge with a
-  // spill_dir would stage its entire stream through disk in round one.
+  // past the threshold *here*, after a merge pass that stopped at a gating
+  // shard, is what the consumer could not take — actual lag.  The
+  // transient fill while this round's unifier runs is not lag (the merge
+  // pass never runs mid-round), nor is residue left by a pass that stopped
+  // at the staging cap, so neither engages the tier: otherwise a plain
+  // batch merge with a spill_dir would stage its stream through disk.
+  //
+  // The watermark counts this shard's staged jframes too: they are still
+  // in memory while the sink drains them.
   bool StepShard(LiveShard& ls, bool one_slice = false) {
     if (ls.exhausted) return false;
     bool progress = MaybeSpill(ls);
     for (;;) {
       if (ls.spilling) progress = MaybeSpill(ls) || progress;
-      if (ls.queue.size() >= kMergeQueueWatermark) break;
+      if (ls.queue.size() + ls.staged >= kMergeQueueWatermark) break;
       const std::uint64_t before = ls.unifier->stats().events_in;
       const std::size_t queued = ls.queue.size();
       const UnifyStep step = ls.unifier->Step(kUnifyStep);
@@ -454,10 +488,12 @@ struct MergeSession::Impl {
       PipelineMetrics& m = Metrics();
       m.shard_events.Add(after.events_in - ls.events_published);
       m.shard_jframes.Add(after.jframes - ls.jframes_published);
+      m.shard_resyncs.Add(after.resyncs - ls.resyncs_published);
       m.queue_peak.UpdateMax(static_cast<std::int64_t>(ls.queue.size()));
     }
     ls.events_published = after.events_in;
     ls.jframes_published = after.jframes;
+    ls.resyncs_published = after.resyncs;
     return progress;
   }
 
@@ -536,10 +572,44 @@ struct MergeSession::Impl {
     pool.clear();
   }
 
-  // Runs one round; returns whether any shard progressed.
+  // Runs one round and hands the staged batch to the sink while it runs;
+  // returns whether any shard progressed.  The round is joined before any
+  // exception leaves, the sink's included, so no worker outlives a Poll().
   bool RunRound() {
     Metrics().rounds.Add(1);
+    StartRound();
+    try {
+      for (StagedJFrame& s : staged) Emit(std::move(s.jf));
+    } catch (...) {
+      AwaitRound();
+      throw;
+    }
+    return JoinRound();
+  }
+
+  void StartRound() {
+    if (pool.empty()) return;
+    {
+      std::lock_guard lk(pool_mu);
+      round_progress = false;
+      remaining = pool.size();
+      ++generation;
+    }
+    start_cv.notify_all();
+  }
+
+  void AwaitRound() {
+    if (pool.empty()) return;
+    std::unique_lock lk(pool_mu);
+    done_cv.wait(lk, [&] { return remaining == 0; });
+  }
+
+  // Joins the round (with one worker: runs it) and takes the emitted
+  // batch's carcasses back into the shard pools.
+  bool JoinRound() {
     if (pool.empty()) {
+      // Nothing is in flight, so the carcasses can feed this very step.
+      RecycleStaged();
       // One worker: a round costs nothing, so advance only the shard
       // furthest behind in capture time that can, by one slice.  The merge
       // emits no further than that shard; more from the others would wait.
@@ -553,20 +623,26 @@ struct MergeSession::Impl {
       return false;
     }
     std::unique_lock lk(pool_mu);
-    round_progress = false;
-    remaining = pool.size();
-    ++generation;
-    start_cv.notify_all();
     {
       obs::StageTimer wait_timer(Metrics().round_wait_us);
       done_cv.wait(lk, [&] { return remaining == 0; });
     }
+    RecycleStaged();
     if (!round_errors.empty()) {
       const auto error = round_errors.front();
       round_errors.clear();
       std::rethrow_exception(error);
     }
     return round_progress;
+  }
+
+  // Returns the emitted batch's carcasses to their shards' pools — never
+  // while a round is in flight: the barrier orders this against each
+  // shard's worker.
+  void RecycleStaged() {
+    for (StagedJFrame& s : staged) s.shard->pool.Recycle(std::move(s.jf));
+    staged.clear();
+    for (auto& ls : live) ls->staged = 0;
   }
 
   // ---- consumer merge -----------------------------------------------------
@@ -605,10 +681,11 @@ struct MergeSession::Impl {
     return jf;
   }
 
-  // Emits the globally least OrderKey among the shard heads, exactly like
+  // Stages the globally least OrderKey among the shard heads, exactly like
   // the batch k-way merge: correctness needs a head (or final
-  // end-of-stream) from every shard before each emission, so a starved
-  // shard with nothing consumable gates the stream — the watermark stall.
+  // end-of-stream) from every shard before each pop, so a starved shard
+  // with nothing consumable gates the stream — the watermark stall.  The
+  // pass also stops once one shard has kStagedPerShard staged.
   std::size_t MergeQueues() {
     std::size_t merged = 0;
     const std::size_t n = live.size();
@@ -631,18 +708,17 @@ struct MergeSession::Impl {
           best_head = head;
         }
       }
+      merge_gated = gated;
       if (gated || best == n) return merged;
-      JFrame jf = TakeShardHead(*live[best]);
+      LiveShard& ls = *live[best];
+      staged.push_back({&ls, TakeShardHead(ls)});
       ++merged;
-      Emit(std::move(jf));  // user code runs on the Poll() thread
-      // Recycle what the sink left behind into the source shard's pool
-      // (merge phase: the barrier orders this vs. that shard's worker).
-      live[best]->pool.Recycle(std::move(jf));
+      if (++ls.staged >= kStagedPerShard) return merged;
     }
   }
 
   std::size_t Retained() const {
-    std::size_t total = 0;
+    std::size_t total = staged.size();
     for (const auto& ls : live) {
       // Spilled jframes live on disk, not in memory — only the staged
       // consumer-side head counts here.  That asymmetry is the point of
@@ -700,10 +776,13 @@ struct MergeSession::Impl {
     if (done) return Status::kDone;
     if (!bootstrapped && !TryBootstrap()) return Status::kBootstrapping;
     for (;;) {
+      // A round that overlapped a staged batch ran with its shards capped
+      // lower; only one with nothing staged proves no shard can advance.
+      const bool overlapped = !staged.empty();
       const bool stepped = RunRound();
-      ObserveRetention();
       const bool merged = MergeQueues() > 0;
-      if (!stepped && !merged) break;
+      ObserveRetention();
+      if (!stepped && !merged && !overlapped) break;
     }
     for (const auto& ls : live) {
       if (!ls->exhausted || !ls->queue.empty() || ls->spill_head ||

@@ -57,13 +57,15 @@ struct MergeConfig {
   // "The spill tier") ----------------------------------------------------
   // Directory for spill segments; empty (the default) disables spilling.
   // When a shard's output queue still holds spill_threshold jframes at
-  // worker-round entry — i.e. the consumer's last drain pass could not
-  // take them, which is actual lag rather than the transient fill of a
-  // round in progress — the worker drains the queue into .jigs segments
-  // under this directory and the k-way merge replays them in order before
-  // resuming in-memory hand-off.  A consumer can therefore lag far behind
-  // without the queue watermark stalling the capture-side unifiers, while
-  // a merge whose consumer keeps up touches disk only for round residue.
+  // worker-round entry after a merge pass that stopped at a gating shard —
+  // i.e. the consumer could not take them, which is actual lag rather than
+  // the transient fill of a round in progress or the residue of a pass
+  // that stopped at its staging cap — the worker drains the queue into
+  // .jigs segments under this directory and the k-way merge replays them
+  // in order before resuming in-memory hand-off.  A consumer can therefore
+  // lag far behind without the queue watermark stalling the capture-side
+  // unifiers, while a merge whose consumer keeps up touches disk only for
+  // residue left behind a gating shard.
   // Segments are removed as they are replayed and when the session ends;
   // the directory should be private to one session.
   // Spilling leaves the emitted stream byte-identical: on, off, or
@@ -81,8 +83,10 @@ struct MergeConfig {
   std::uint64_t max_spill_bytes = 0;
   // Pin shard worker threads round-robin across CPUs (Linux:
   // pthread_setaffinity_np; elsewhere, and on failure, silently a no-op).
-  // Scheduling only — the round barrier fixes the merge order regardless of
-  // where workers run, so the stream stays byte-identical.
+  // Scheduling only — the merge pass reads the shard queues only between
+  // rounds (the sink overlaps a round, the merge pass does not), so the
+  // merge order is fixed wherever the workers run and the stream stays
+  // byte-identical.
   bool pin_threads = false;
 };
 
@@ -102,7 +106,8 @@ struct MergeResult {
 MergeResult MergeTraces(TraceSet& traces, const MergeConfig& config = {});
 
 // Streaming variant: jframes are delivered to `sink` in timestamp order.
-// The sink runs on the calling thread in every threading mode.
+// The sink runs on the calling thread in every threading mode (see
+// MergeSession for what it may do).
 struct MergeStreamStats {
   BootstrapResult bootstrap;
   UnifyStats stats;
@@ -111,10 +116,11 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink);
 
-// Per-shard buffering bound: a shard whose output queue holds this many
-// jframes stops unifying until the consumer drains it, so retention stays
-// bounded even when one radio lags far behind the rest (the lagging shard
-// gates emission; the others throttle here).
+// Per-shard buffering bound: a shard whose output queue plus its jframes
+// staged for the sink hold this many jframes stops unifying until the
+// consumer drains it, so retention stays bounded even when one radio lags
+// far behind the rest (the lagging shard gates emission; the others
+// throttle here).  A merge pass stages at most half of it per shard.
 inline constexpr std::size_t kMergeQueueWatermark = 4096;
 
 // Lag between a captured frontier and an emitted timestamp, clamped at
@@ -147,7 +153,13 @@ constexpr std::int64_t ClampedLagUs(std::int64_t capture_frontier_us,
 //     cumulative stream is byte-identical to MergeTraces over the same
 //     (finished) inputs for every `threads` setting.
 //
-// The sink runs on the Poll()-calling thread in every threading mode.
+// The sink runs on the Poll()-calling thread in every threading mode.  In
+// pool mode it runs while the shard workers unify the next round, so it
+// must not call back into the session.  Poll() returns only with no round
+// in flight and nothing staged for the sink — a consistent cut, which is
+// what checkpoints are taken at — and a sink exception leaves Poll() only
+// after the round in flight has joined (the session is failed from then
+// on).
 class MergeSession {
  public:
   enum class Status { kBootstrapping, kStarved, kDone };
@@ -176,8 +188,9 @@ class MergeSession {
   UnifyStats stats() const;
   std::uint64_t jframes_emitted() const;
   // Jframes currently buffered between the unifiers and the sink (reorder
-  // buffers + shard queues) and the session-lifetime high-water mark — the
-  // bounded-retention guarantee under starved/uneven sources.
+  // buffers, shard queues and the batch staged for the sink) and the
+  // session-lifetime high-water mark — the bounded-retention guarantee
+  // under starved/uneven sources.
   std::size_t retained_jframes() const;
   std::size_t peak_retained_jframes() const;
   // Spill-tier counters (always 0 with spilling disabled):

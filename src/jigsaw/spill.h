@@ -167,9 +167,10 @@ struct SpillBudget {
 
 // FIFO of jframes staged on disk between one shard's unifier and the k-way
 // merge.  Push/Sync run on the shard's worker thread; Pop runs on the
-// Poll() thread strictly after the worker round (the round barrier orders
-// them), so no internal locking is needed — the only cross-shard state is
-// the atomic budget.
+// Poll() thread in the merge pass, strictly between worker rounds (the
+// round barrier orders them; only the sink overlaps a round, and it never
+// touches the spill), so no internal locking is needed — the only
+// cross-shard state is the atomic budget.
 //
 // Segments rotate at ~segment_bytes so replayed data is reclaimed
 // promptly: a fully-replayed finished segment is deleted and its bytes

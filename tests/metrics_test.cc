@@ -314,8 +314,9 @@ TEST(LagAccountingTest, SessionLagIsNonNegativeAndZeroAtDone) {
   EXPECT_GE(lag_hist.Sum(), 0);
 }
 
-// The shard counters see every capture event and jframe at every thread
-// setting, threads=1 (one worker, stepping the shards inline) included.
+// The shard counters see every capture event, jframe and clock resync at
+// every thread setting, threads=1 (one worker, stepping the shards inline)
+// included.
 TEST(ShardCounterTest, DeltasEqualSessionStatsAtEveryThreadSetting) {
   for (unsigned threads : {1u, 2u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -332,6 +333,12 @@ TEST(ShardCounterTest, DeltasEqualSessionStatsAtEveryThreadSetting) {
     EXPECT_EQ(after.Value("jig_shard_jframes_total") -
                   before.Value("jig_shard_jframes_total"),
               static_cast<std::int64_t>(stats.jframes));
+    // The scenario's drifting clocks make the unifiers resync, so the
+    // counter is checked on a nonzero total.
+    ASSERT_GT(stats.resyncs, 0u);
+    EXPECT_EQ(after.Value("jig_shard_resyncs_total") -
+                  before.Value("jig_shard_resyncs_total"),
+              static_cast<std::int64_t>(stats.resyncs));
   }
 }
 

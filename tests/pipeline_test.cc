@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,6 +53,14 @@ constexpr GoldenStream kNetworkGolden[] = {
 constexpr GoldenStream kScenarioGolden = {77, 885, 1682,
                                           0x4e168dd5d68ee60bull};
 
+// MultiChannelNetwork(23, Seconds(60)).Build(): long enough that every
+// shard passes kMergeQueueWatermark, so rounds fill queues to the cap and
+// merge passes stop at the staging cap.  Recorded from the merge that
+// alternated rounds and emission, where every thread setting agreed.
+constexpr GoldenStream kLongNetworkGolden = {23, 15273, 28580,
+                                             0xd75c45e9e88f17ccull};
+constexpr TrueMicros kLongNetworkDuration = Seconds(60);
+
 const GoldenStream& NetworkGolden(std::uint64_t seed) {
   for (const GoldenStream& g : kNetworkGolden) {
     if (g.seed == seed) return g;
@@ -56,12 +69,87 @@ const GoldenStream& NetworkGolden(std::uint64_t seed) {
                               std::to_string(seed));
 }
 
+void ExpectGolden(const GoldenStream& golden,
+                  const std::vector<JFrame>& jframes,
+                  const UnifyStats& stats) {
+  EXPECT_EQ(jframes.size(), golden.jframes);
+  EXPECT_EQ(stats.jframes, golden.jframes);
+  EXPECT_EQ(stats.events_in, golden.events_in);
+  EXPECT_EQ(StreamDigest(jframes), golden.digest)
+      << std::hex << "0x" << StreamDigest(jframes);
+}
+
 void ExpectGolden(const GoldenStream& golden, const MergeResult& result) {
-  EXPECT_EQ(result.jframes.size(), golden.jframes);
-  EXPECT_EQ(result.stats.jframes, golden.jframes);
-  EXPECT_EQ(result.stats.events_in, golden.events_in);
-  EXPECT_EQ(StreamDigest(result.jframes), golden.digest)
-      << std::hex << "0x" << StreamDigest(result.jframes);
+  ExpectGolden(golden, result.jframes, result.stats);
+}
+
+// Serves an in-memory trace as a live source: only the first `released`
+// records are readable (Finalized() once all are), and every read bumps a
+// counter shared by the whole set, so a test can see whether any worker
+// still reads after Poll() returned.  `read_delay` slows every read down,
+// so a round in flight stays visible for a while.
+class GatedCountingStream final : public RecordStream {
+ public:
+  GatedCountingStream(const MemoryTrace& source,
+                      std::atomic<std::uint64_t>& reads,
+                      std::chrono::microseconds read_delay)
+      : header_(source.header()),
+        records_(source.records()),
+        reads_(reads),
+        read_delay_(read_delay) {}
+
+  const TraceHeader& header() const override { return header_; }
+  std::optional<CaptureRecord> Next() override {
+    const CaptureRecord* rec = NextRef();
+    if (rec == nullptr) return std::nullopt;
+    return *rec;
+  }
+  const CaptureRecord* NextRef() override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    const auto until = std::chrono::steady_clock::now() + read_delay_;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    if (pos_ >= std::min(released_, records_.size())) return nullptr;
+    return &records_[pos_++];
+  }
+  void Rewind() override { pos_ = 0; }
+  bool Finalized() const override { return released_ >= records_.size(); }
+
+  // Only between polls: the workers read `released_` during a round.
+  void Release(double fraction) {
+    released_ = static_cast<std::size_t>(
+        fraction * static_cast<double>(records_.size()));
+  }
+
+ private:
+  TraceHeader header_;
+  std::vector<CaptureRecord> records_;
+  std::atomic<std::uint64_t>& reads_;
+  std::chrono::microseconds read_delay_;
+  std::size_t pos_ = 0;
+  std::size_t released_ = std::numeric_limits<std::size_t>::max();
+};
+
+// `network` with every trace behind a GatedCountingStream.
+TraceSet GatedCounting(TraceSet network, std::atomic<std::uint64_t>& reads,
+                       std::vector<GatedCountingStream*>* streams = nullptr,
+                       std::chrono::microseconds read_delay = {}) {
+  TraceSet set;
+  for (std::size_t i = 0; i < network.size(); ++i) {
+    auto stream = std::make_unique<GatedCountingStream>(
+        dynamic_cast<const MemoryTrace&>(network.at(i)), reads, read_delay);
+    if (streams != nullptr) streams->push_back(stream.get());
+    set.Add(std::move(stream));
+  }
+  return set;
+}
+
+// True if no stream was read during a pause long enough for a worker
+// that outlived Poll() to show itself.
+bool NoReadsDuringPause(const std::atomic<std::uint64_t>& reads) {
+  const std::uint64_t before = reads.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  return reads.load() == before;
 }
 
 TEST(MergeConfigValidation, RejectsHorizonNotExceedingSearchWindow) {
@@ -321,7 +409,125 @@ TEST(ParallelMerge, SinkExceptionPropagatesAndAbortsWorkers) {
                                     }),
                std::runtime_error);
   EXPECT_EQ(delivered, 10u);
+
+  // Partway through a staged batch, while the workers run the next round:
+  // on the long scenario the sink throws at the first delivery after
+  // which a worker has read a trace since the previous one — proof that a
+  // round with work is in flight.  The round is joined before the
+  // exception leaves Poll(): nothing reads the traces afterwards.
+  std::atomic<std::uint64_t> reads{0};
+  TraceSet gated = GatedCounting(
+      MultiChannelNetwork(kLongNetworkGolden.seed, kLongNetworkDuration)
+          .Build(),
+      reads, nullptr, std::chrono::microseconds(2));
+  delivered = 0;
+  std::uint64_t reads_at_last_delivery = 0;
+  MergeSession session(gated, cfg, [&](JFrame&&) {
+    const std::uint64_t now = reads.load();
+    if (++delivered > 1 && now != reads_at_last_delivery) {
+      throw std::runtime_error("sink");
+    }
+    reads_at_last_delivery = now;
+  });
+  EXPECT_THROW(session.Poll(), std::runtime_error);
+  EXPECT_LT(delivered, kLongNetworkGolden.jframes);
+  EXPECT_TRUE(NoReadsDuringPause(reads));
+  EXPECT_THROW(session.Poll(), std::logic_error);  // a failed session stays so
 }
+
+// Poll() returns with no round in flight and nothing staged — the cut a
+// checkpoint is taken at.  The sources grow between polls, so every poll
+// but the last returns kBootstrapping or kStarved mid-stream; after each
+// return no stream may be read, and the cumulative stream is the golden
+// one.
+TEST(ParallelMerge, PollReturnsQuiescent) {
+  for (unsigned threads : {2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<std::uint64_t> reads{0};
+    std::vector<GatedCountingStream*> streams;
+    TraceSet gated = GatedCounting(
+        MultiChannelNetwork(kLongNetworkGolden.seed, kLongNetworkDuration)
+            .Build(),
+        reads, &streams);
+    MergeConfig cfg;
+    cfg.threads = threads;
+    std::vector<JFrame> out;
+    MergeSession session(gated, cfg,
+                         [&out](JFrame&& jf) { out.push_back(std::move(jf)); });
+    std::size_t starved_polls = 0;
+    for (int step = 1; step <= 10; ++step) {
+      for (GatedCountingStream* s : streams) s->Release(step / 10.0);
+      const MergeSession::Status status = session.Poll();
+      EXPECT_TRUE(NoReadsDuringPause(reads)) << "step " << step;
+      EXPECT_EQ(session.retained_jframes() == 0,
+                status == MergeSession::Status::kDone);
+      if (status == MergeSession::Status::kStarved) ++starved_polls;
+      EXPECT_EQ(status == MergeSession::Status::kDone, step == 10);
+    }
+    EXPECT_GT(starved_polls, 0u);
+    ExpectGolden(kLongNetworkGolden, out, session.stats());
+  }
+}
+
+// The consumer slower than the workers: the sink spins on every jframe,
+// so each round ends long before its staged batch is drained.  The sources
+// grow in steps, so merge passes stop at starved shards and, with the
+// spill tier forced (threshold 1), the other shards' lag rides the disk
+// while a batch is in flight.  Beside it, the same long scenario as a
+// plain batch merge.  Every thread setting must emit the golden stream.
+class SlowSinkDeterminism : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SlowSinkDeterminism, ByteIdenticalWithSpillForced) {
+  namespace fs = std::filesystem;
+  const unsigned threads = GetParam();
+  for (bool slow : {false, true}) {
+    SCOPED_TRACE(slow ? "slow sink, spill forced" : "plain sink");
+    std::atomic<std::uint64_t> reads{0};
+    std::vector<GatedCountingStream*> streams;
+    TraceSet traces = GatedCounting(
+        MultiChannelNetwork(kLongNetworkGolden.seed, kLongNetworkDuration)
+            .Build(),
+        reads, &streams);
+    MergeConfig cfg;
+    cfg.threads = threads;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("jig_pipeline_slow_sink_" + std::to_string(threads));
+    if (slow) {
+      fs::remove_all(dir);
+      cfg.spill_dir = dir;
+      cfg.spill_threshold = 1;
+    }
+    std::vector<JFrame> out;
+    MergeSession session(traces, cfg, [&](JFrame&& jf) {
+      if (slow) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+      out.push_back(std::move(jf));
+    });
+    const int steps = slow ? 8 : 1;
+    for (int step = 1; step < steps; ++step) {
+      for (GatedCountingStream* s : streams) {
+        s->Release(static_cast<double>(step) / steps);
+      }
+      ASSERT_NE(session.Poll(), MergeSession::Status::kDone);
+    }
+    for (GatedCountingStream* s : streams) s->Release(1.0);
+    ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
+    ExpectGolden(kLongNetworkGolden, out, session.stats());
+    EXPECT_EQ(session.retained_jframes(), 0u);
+    if (slow) {
+      EXPECT_GT(session.spilled_jframes(), 0u);
+      EXPECT_EQ(session.spill_bytes_on_disk(), 0u);
+      fs::remove_all(dir);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SlowSinkDeterminism,
+                         ::testing::Values(1u, 2u, 0u));
 
 }  // namespace
 }  // namespace jig
