@@ -711,7 +711,7 @@ struct MergeSession::Impl {
       merge_gated = gated;
       if (gated || best == n) return merged;
       LiveShard& ls = *live[best];
-      staged.push_back({&ls, TakeShardHead(ls)});
+      staged.emplace_back(&ls, TakeShardHead(ls));
       ++merged;
       if (++ls.staged >= kStagedPerShard) return merged;
     }
