@@ -168,6 +168,24 @@ int main(int argc, char** argv) {
     WriteSeed(root / "fuzz_lz_decode", "incompressible.bin",
               jig::LzCompress(incompressible));
     WriteSeed(root / "fuzz_lz_decode", "empty.bin", jig::LzCompress({}));
+    // Matches 16 bytes or more back, which the decoder copies in 16-byte
+    // chunks: a 20-byte period (overlapping matches, dist >= 16) and
+    // capture-like records — a repeated 36-byte header between 20 varying
+    // payload bytes (dist 56).
+    jig::Bytes wide;
+    for (int i = 0; i < 300; ++i) {
+      wide.push_back(
+          static_cast<std::uint8_t>("JIGSAW-802.11-TRACE!"[i % 20]));
+    }
+    for (int frame = 0; frame < 12; ++frame) {
+      for (int i = 0; i < 36; ++i) wide.push_back(static_cast<std::uint8_t>(i));
+      for (int i = 0; i < 20; ++i) {
+        x = x * 1664525u + 1013904223u;
+        wide.push_back(static_cast<std::uint8_t>(x >> 24));
+      }
+    }
+    WriteSeed(root / "fuzz_lz_decode", "wide_matches.bin",
+              jig::LzCompress(wide));
   }
 
   // --- fuzz_jframe_deserialize: serialized frames ------------------------

@@ -129,8 +129,12 @@ struct PipelineMetrics {
       "High-watermark of any single shard queue depth");
   obs::Histogram& round_wait_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_shard_round_wait_us", obs::LatencyBucketsUs(),
-      "Poll-thread wait at the round barrier the sink did not cover (pool "
-      "mode only)");
+      "Poll-thread wait at the round barrier the sink and the side consumer "
+      "did not cover (pool mode only)");
+  obs::Histogram& side_wait_us = obs::MetricRegistry::Global().GetHistogram(
+      "jig_merge_side_wait_us", obs::LatencyBucketsUs(),
+      "Poll-thread wait for the side consumer (the monitor's output log) to "
+      "finish a staged batch after the sink finished it");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
       "JFrames emitted by the k-way merge");
@@ -197,13 +201,16 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // Poll() thread k-way merges the shard queues as far as every shard has
 // either a head or a final end-of-stream.  The merge pass only stages what
 // it pops; the sink sees that batch while the workers run the next round,
-// so unifying and emitting overlap instead of taking turns.  Everything
-// the workers share with the Poll thread (shard queues, spill replay, the
-// jframe pools) is still touched only between rounds.  With one worker no
-// pool is started: the same loop runs inline, and a round advances only
-// the shard furthest behind in capture time, by one slice.  Poll() stops
-// scheduling rounds once no shard can advance and nothing is staged, which
-// is what makes the session resumable.
+// so unifying and emitting overlap instead of taking turns.  A side
+// consumer, when the session has one, reads the same batch on its own
+// thread at the same time.  Everything the workers share with the Poll
+// thread (shard queues, spill replay, the jframe pools) is still touched
+// only between rounds, and the batch goes back to the pools only once the
+// round, the sink and the side consumer have all finished with it.  With
+// one worker no pool is started: the same loop runs inline, and a round
+// advances only the shard furthest behind in capture time, by one slice.
+// Poll() stops scheduling rounds once no shard can advance and nothing is
+// staged, which is what makes the session resumable.
 
 struct MergeSession::Impl {
   struct LiveShard {
@@ -243,6 +250,7 @@ struct MergeSession::Impl {
   TraceSet& traces;
   MergeConfig config;
   std::function<void(JFrame&&)> sink;
+  std::function<void(const JFrame&)> side;  // empty: one consumer
 
   bool bootstrapped = false;
   bool done = false;
@@ -272,6 +280,19 @@ struct MergeSession::Impl {
   bool shutdown = false;
   bool round_progress = false;
   std::vector<std::exception_ptr> round_errors;
+
+  // Side-consumer thread (only with a side consumer).  `side_busy` is set
+  // by the Poll thread when it hands over the staged batch and cleared by
+  // the side thread when it is done with it; `side_cancel` asks it to stop
+  // at the next jframe once something else in the round failed.
+  std::thread side_thread;
+  std::mutex side_mu;
+  std::condition_variable side_start_cv;
+  std::condition_variable side_done_cv;
+  bool side_busy = false;
+  bool side_shutdown = false;
+  std::exception_ptr side_error;
+  std::atomic<bool> side_cancel{false};
 
   // The last merge pass's output, in emission order, and whether that pass
   // stopped at a shard with nothing consumable (rather than at the staging
@@ -325,11 +346,12 @@ struct MergeSession::Impl {
     return ClampedLagUs(cap, emit);
   }
 
-  Impl(TraceSet& t, const MergeConfig& c, std::function<void(JFrame&&)> s)
-      : traces(t), config(c), sink(std::move(s)) {}
+  Impl(TraceSet& t, const MergeConfig& c, std::function<void(JFrame&&)> s,
+       std::function<void(const JFrame&)> sc = nullptr)
+      : traces(t), config(c), sink(std::move(s)), side(std::move(sc)) {}
 
   ~Impl() {
-    StopPool();
+    StopThreads();
     // Destroy the unifiers/reorder buffers before handing the shard streams
     // back (they hold references into the shard trace sets).
     live.clear();
@@ -414,6 +436,7 @@ struct MergeSession::Impl {
     }
     workers = ResolveWorkers(config.threads, shards.size());
     if (workers > 1) StartPool();
+    if (side) side_thread = std::thread([this] { SideLoop(); });
   }
 
   // ---- worker rounds ------------------------------------------------------
@@ -561,30 +584,120 @@ struct MergeSession::Impl {
     }
   }
 
-  void StopPool() {
-    if (pool.empty()) return;
-    {
-      std::lock_guard lk(pool_mu);
-      shutdown = true;
+  // The side thread stops before the pool.  glibc hands an exiting
+  // thread's malloc arena to the next new thread that allocates, newest
+  // exit first; stopping the side thread first lets the next session's
+  // workers, which allocate before the side thread does, take the worker
+  // arenas back.  Stopped last, a worker would inherit the side thread's
+  // small arena and grow yet another to a worker's size (measured over six
+  // batch-day monitors in one process, threads = 0: ru_maxrss 43-45 MiB
+  // with the side thread stopped last, 40 MiB first).
+  void StopThreads() {
+    if (side_thread.joinable()) {
+      {
+        std::lock_guard lk(side_mu);
+        side_shutdown = true;
+      }
+      side_start_cv.notify_one();
+      side_thread.join();
     }
-    start_cv.notify_all();
-    for (auto& t : pool) t.join();
-    pool.clear();
+    if (!pool.empty()) {
+      {
+        std::lock_guard lk(pool_mu);
+        shutdown = true;
+      }
+      start_cv.notify_all();
+      for (auto& t : pool) t.join();
+      pool.clear();
+    }
   }
 
-  // Runs one round and hands the staged batch to the sink while it runs;
-  // returns whether any shard progressed.  The round is joined before any
-  // exception leaves, the sink's included, so no worker outlives a Poll().
+  // The side thread: reads each staged batch it is handed, front to back.
+  // It only reads `staged`, which the Poll thread leaves alone (the sink
+  // gets const references too) until JoinSide/AwaitSide.
+  void SideLoop() {
+    std::unique_lock lk(side_mu);
+    for (;;) {
+      side_start_cv.wait(lk, [&] { return side_shutdown || side_busy; });
+      if (side_shutdown) return;
+      lk.unlock();
+      std::exception_ptr error;
+      try {
+        for (const StagedJFrame& s : staged) {
+          if (side_cancel.load(std::memory_order_relaxed)) break;
+          side(s.jf);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lk.lock();
+      side_error = error;
+      side_busy = false;
+      side_done_cv.notify_one();
+    }
+  }
+
+  // Hands the staged batch to the side consumer; false when there is none
+  // or nothing is staged.
+  bool StartSide() {
+    if (!side_thread.joinable() || staged.empty()) return false;
+    {
+      std::lock_guard lk(side_mu);
+      side_busy = true;
+      side_cancel.store(false, std::memory_order_relaxed);
+    }
+    side_start_cv.notify_one();
+    return true;
+  }
+
+  void AwaitSide() {
+    std::unique_lock lk(side_mu);
+    side_done_cv.wait(lk, [&] { return !side_busy; });
+  }
+
+  // Waits for the side consumer (timed: how long it held the Poll thread
+  // after the sink finished) and rethrows its exception.  Once it is idle
+  // the side thread leaves side_error alone until the next StartSide.
+  void JoinSide() {
+    {
+      obs::StageTimer wait_timer(Metrics().side_wait_us);
+      AwaitSide();
+    }
+    if (side_error) {
+      const auto error = side_error;
+      side_error = nullptr;
+      std::rethrow_exception(error);
+    }
+  }
+
+  // Runs one round while the sink (and the side consumer, if any) drain
+  // the staged batch, then takes the batch's carcasses back into the shard
+  // pools; returns whether any shard progressed.  Everything in flight is
+  // joined before any exception leaves, so no worker and no side consumer
+  // outlives a Poll().
   bool RunRound() {
     Metrics().rounds.Add(1);
     StartRound();
+    const bool side_running = StartSide();
     try {
       for (StagedJFrame& s : staged) Emit(std::move(s.jf));
+      bool progress = false;
+      if (pool.empty()) {
+        // Nothing else reads the batch, so its carcasses can feed this
+        // very step; with a side consumer they wait for it.
+        if (!side_running) RecycleStaged();
+        progress = StepInline();
+      }
+      if (side_running) JoinSide();
+      if (!pool.empty()) progress = JoinRound();
+      RecycleStaged();
+      return progress;
     } catch (...) {
+      side_cancel.store(true, std::memory_order_relaxed);
+      AwaitSide();
       AwaitRound();
       throw;
     }
-    return JoinRound();
   }
 
   void StartRound() {
@@ -604,30 +717,27 @@ struct MergeSession::Impl {
     done_cv.wait(lk, [&] { return remaining == 0; });
   }
 
-  // Joins the round (with one worker: runs it) and takes the emitted
-  // batch's carcasses back into the shard pools.
-  bool JoinRound() {
-    if (pool.empty()) {
-      // Nothing is in flight, so the carcasses can feed this very step.
-      RecycleStaged();
-      // One worker: a round costs nothing, so advance only the shard
-      // furthest behind in capture time that can, by one slice.  The merge
-      // emits no further than that shard; more from the others would wait.
-      std::vector<LiveShard*> order;
-      for (auto& ls : live) order.push_back(ls.get());
-      std::ranges::stable_sort(
-          order, {}, [](auto* ls) { return ls->reorder->frontier(); });
-      for (LiveShard* ls : order) {
-        if (StepShard(*ls, /*one_slice=*/true)) return true;
-      }
-      return false;
+  // One worker: a round costs nothing, so advance only the shard furthest
+  // behind in capture time that can, by one slice.  The merge emits no
+  // further than that shard; more from the others would wait.
+  bool StepInline() {
+    std::vector<LiveShard*> order;
+    for (auto& ls : live) order.push_back(ls.get());
+    std::ranges::stable_sort(
+        order, {}, [](auto* ls) { return ls->reorder->frontier(); });
+    for (LiveShard* ls : order) {
+      if (StepShard(*ls, /*one_slice=*/true)) return true;
     }
+    return false;
+  }
+
+  // Joins the pool's round and rethrows a worker's exception.
+  bool JoinRound() {
     std::unique_lock lk(pool_mu);
     {
       obs::StageTimer wait_timer(Metrics().round_wait_us);
       done_cv.wait(lk, [&] { return remaining == 0; });
     }
-    RecycleStaged();
     if (!round_errors.empty()) {
       const auto error = round_errors.front();
       round_errors.clear();
@@ -637,8 +747,8 @@ struct MergeSession::Impl {
   }
 
   // Returns the emitted batch's carcasses to their shards' pools — never
-  // while a round is in flight: the barrier orders this against each
-  // shard's worker.
+  // while a round is in flight or the side consumer reads the batch: the
+  // barrier orders this against each shard's worker.
   void RecycleStaged() {
     for (StagedJFrame& s : staged) s.shard->pool.Recycle(std::move(s.jf));
     staged.clear();
@@ -797,7 +907,7 @@ struct MergeSession::Impl {
     // its stats) live on.  Dropping the shards also removes any remaining
     // spill segments (all replayed by now — SpillQueue's destructor only
     // cleans up files).
-    StopPool();
+    StopThreads();
     PublishArenaMetrics();  // the pools die with `live` below
     final_stats = Stats();
     final_spilled = Spilled();
@@ -816,6 +926,16 @@ struct MergeSession::Impl {
 MergeSession::MergeSession(TraceSet& traces, const MergeConfig& config,
                            std::function<void(JFrame&&)> sink)
     : impl_(std::make_unique<Impl>(traces, config, std::move(sink))) {
+  ValidateMergeConfig(config);
+}
+
+MergeSession::MergeSession(TraceSet& traces, const MergeConfig& config,
+                           std::function<void(const JFrame&)> sink,
+                           std::function<void(const JFrame&)> side)
+    : impl_(std::make_unique<Impl>(
+          traces, config,
+          [sink = std::move(sink)](JFrame&& jf) { sink(jf); },
+          std::move(side))) {
   ValidateMergeConfig(config);
 }
 

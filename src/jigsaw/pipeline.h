@@ -107,7 +107,7 @@ MergeResult MergeTraces(TraceSet& traces, const MergeConfig& config = {});
 
 // Streaming variant: jframes are delivered to `sink` in timestamp order.
 // The sink runs on the calling thread in every threading mode (see
-// MergeSession for what it may do).
+// MergeSession for the sink contract).
 struct MergeStreamStats {
   BootstrapResult bootstrap;
   UnifyStats stats;
@@ -153,13 +153,27 @@ constexpr std::int64_t ClampedLagUs(std::int64_t capture_frontier_us,
 //     cumulative stream is byte-identical to MergeTraces over the same
 //     (finished) inputs for every `threads` setting.
 //
-// The sink runs on the Poll()-calling thread in every threading mode.  In
-// pool mode it runs while the shard workers unify the next round, so it
-// must not call back into the session.  Poll() returns only with no round
-// in flight and nothing staged for the sink — a consistent cut, which is
-// what checkpoints are taken at — and a sink exception leaves Poll() only
-// after the round in flight has joined (the session is failed from then
-// on).
+// The sink contract.  The sink runs on the Poll()-calling thread in every
+// threading mode.  Each merge pass stages a batch of jframes; the sink
+// drains that batch while the shard workers unify the next round (in pool
+// mode), so it must not call back into the session.
+//
+// A session may also carry a side consumer (the two-consumer constructor):
+// it runs on a thread the session owns and reads the same staged batch, in
+// the same order, at the same time as the sink.  Both consumers then get
+// every jframe by const reference — neither may move from a jframe the
+// other is reading — and both must finish before the batch's carcasses go
+// back to the shard pools, so the round barrier stays the memory model.
+// The two consumers share no state through the session: whatever they
+// share with each other is theirs to synchronize.
+//
+// Poll() returns only with no round in flight, nothing staged and the side
+// consumer idle — a consistent cut, which is what checkpoints are taken
+// at.  An exception from the sink, the side consumer or a worker leaves
+// Poll() only after all three have stopped (the side consumer stops at its
+// next jframe once anything failed), and the session is failed from then
+// on.  When several fail in one round, Poll() rethrows one of them — the
+// sink's, if the sink threw.
 class MergeSession {
  public:
   enum class Status { kBootstrapping, kStarved, kDone };
@@ -168,6 +182,12 @@ class MergeSession {
   // entry points).  No trace is read until the first Poll().
   MergeSession(TraceSet& traces, const MergeConfig& config,
                std::function<void(JFrame&&)> sink);
+  // Two consumers: `sink` on the Poll() thread, `side` on a session-owned
+  // thread, both read-only (see the contract above).  The side thread
+  // starts once bootstrap completes and stops when the session completes.
+  MergeSession(TraceSet& traces, const MergeConfig& config,
+               std::function<void(const JFrame&)> sink,
+               std::function<void(const JFrame&)> side);
   ~MergeSession();
 
   MergeSession(const MergeSession&) = delete;

@@ -366,21 +366,26 @@ void DeploymentMonitor::RecoverLog(const std::optional<Checkpoint>& cp) {
     // Tail-mode read: counts the complete jframes and tolerates a torn
     // trailing block (the "no data yet" frontier discipline — here the
     // writer is dead, so the frontier is simply where the crash cut it).
-    SpillSegmentReader reader(SegmentPath(seq), /*strict=*/false);
-    std::vector<JFrame> jfs;
+    // Only the count and the newest timestamp are kept, never the jframes.
+    std::uint64_t count = 0;
     std::int64_t max_ts = 0;
-    while (auto jf = reader.Next()) {
-      max_ts = std::max(max_ts, jf->timestamp);
-      jfs.push_back(std::move(*jf));
+    bool finalized = false;
+    {
+      SpillSegmentReader reader(SegmentPath(seq), /*strict=*/false);
+      while (const auto jf = reader.Next()) {
+        max_ts = std::max(max_ts, jf->timestamp);
+        ++count;
+      }
+      finalized = reader.finalized();
     }
     const bool last = i + 1 == on_disk.size();
-    if (!last && !reader.finalized()) {
+    if (!last && !finalized) {
       throw TraceCorruptError("output log: non-newest segment " +
                               SegmentPath(seq).string() +
                               " has no finalize marker");
     }
-    next_base = base + jfs.size();
-    if (reader.finalized()) {
+    next_base = base + count;
+    if (finalized) {
       sealed_.push_back({seq, base, max_ts,
                          static_cast<std::uint64_t>(
                              fs::file_size(SegmentPath(seq))),
@@ -389,7 +394,7 @@ void DeploymentMonitor::RecoverLog(const std::optional<Checkpoint>& cp) {
         active_seq_ = seq + 1;
         active_base_ = next_base;
       }
-    } else if (jfs.empty()) {
+    } else if (count == 0) {
       // Nothing durable made it into the torn tail: drop it and reuse
       // the sequence number for the fresh active segment.
       fs::remove(SegmentPath(seq));
@@ -398,12 +403,23 @@ void DeploymentMonitor::RecoverLog(const std::optional<Checkpoint>& cp) {
     } else {
       // Repair: rewrite the complete jframes as a sealed segment (temp +
       // rename, so a crash during recovery is itself recoverable), then
-      // continue the stream in a fresh segment.
+      // continue the stream in a fresh segment.  A second tail-mode pass
+      // streams them across; the writer is dead, so it reads what the
+      // first pass counted.
       const fs::path tmp = SegmentPath(seq) += ".repair";
       {
+        SpillSegmentReader reader(SegmentPath(seq), /*strict=*/false);
         SpillSegmentWriter rw(tmp, {0, seq},
                               config_.output_records_per_block);
-        for (const JFrame& jf : jfs) rw.Append(jf);
+        for (std::uint64_t k = 0; k < count; ++k) {
+          const auto jf = reader.Next();
+          if (!jf) {
+            throw TraceCorruptError("output log: segment " +
+                                    SegmentPath(seq).string() +
+                                    " shrank during repair");
+          }
+          rw.Append(*jf);
+        }
         rw.Finish();
       }
       fs::rename(tmp, SegmentPath(seq));
@@ -499,17 +515,24 @@ void DeploymentMonitor::StartSession() {
     frontiers_.push_back(counted.get());
     traces_.Add(std::move(counted));
   }
+  // Two consumers of every staged batch: the analysis bus on the Poll
+  // thread, the output log on the session's side thread.  They share no
+  // state; the log's bookkeeping is read on the Poll thread only between
+  // polls, after the session has joined the side thread.
   session_ = std::make_unique<MergeSession>(
       traces_, config_.merge,
-      [this](JFrame&& jf) { OnJFrame(std::move(jf)); });
+      [this](const JFrame& jf) {
+        // The analysis chain sees EVERY delivery, including the recovery
+        // replay: its windowed state regenerates deterministically
+        // alongside the suppressed prefix.
+        if (bus_) bus_->OnJFrame(jf);
+      },
+      [this](const JFrame& jf) { LogJFrame(jf); });
   state_ = State::kRunning;
 }
 
-void DeploymentMonitor::OnJFrame(JFrame&& jf) {
-  // The analysis chain sees EVERY delivery, including the recovery
-  // replay: its windowed state regenerates deterministically alongside
-  // the suppressed prefix.
-  if (bus_) bus_->OnJFrame(jf);
+// The output log's consumer (the merge session's side thread).
+void DeploymentMonitor::LogJFrame(const JFrame& jf) {
   if (suppress_remaining_ > 0) {
     --suppress_remaining_;
     ++recovered_;

@@ -107,7 +107,8 @@ Checkpoint LoadCheckpoint(const std::filesystem::path& path);
 // code never sets them.
 struct ServiceFaultHooks {
   // After jframe `index` was handed to the output writer (possibly still
-  // in its pending block) — "crash during output write".
+  // in its pending block) — "crash during output write".  Runs on the
+  // output log's thread (see DeploymentMonitor).
   std::function<void(std::uint64_t index)> after_output_append;
   // Around the checkpoint replace — "crash between emit and checkpoint"
   // and "crash between checkpoint and the next emit".
@@ -175,11 +176,16 @@ struct DeploymentStatus {
 
 // One deployment.  PollOnce() never blocks (neither on trace writers nor
 // on the network), so a MonitorService can multiplex hundreds of monitors
-// on one thread.  A hook or IO error that throws out of PollOnce marks
-// the monitor failed; the destructor then abandons the open output
-// segment (no finalize marker, pending block dropped) and skips the final
-// checkpoint — on-disk state is left exactly as a SIGKILL at that moment
-// would leave it, which is what the crash-recovery tests restart from.
+// on one thread.  Inside a poll the output log (suppression, serialize,
+// compress, write, rotation, after_output_append) runs on the merge
+// session's side thread while the analysis bus runs on the caller's
+// thread; the session joins it before PollOnce() returns or throws, so
+// between polls everything is the caller's.  A hook or IO error that
+// throws out of PollOnce marks the monitor failed; the destructor then
+// abandons the open output segment (no finalize marker, pending block
+// dropped) and skips the final checkpoint — on-disk state is left exactly
+// as a SIGKILL at that moment would leave it, which is what the
+// crash-recovery tests restart from.
 class DeploymentMonitor {
  public:
   enum class State { kDiscovering, kRunning, kDone, kFailed };
@@ -225,7 +231,7 @@ class DeploymentMonitor {
 
   void Discover();
   void StartSession();
-  void OnJFrame(JFrame&& jf);
+  void LogJFrame(const JFrame& jf);
   void AppendToLog(const JFrame& jf);
   void MaybeRotate();
   void SealActiveSegment();

@@ -182,10 +182,10 @@ void SpillSegmentWriter::FlushBlock() {
   // Fast level: spill blocks are written on the shard worker's round (the
   // merge hot path) and live only until replay, so compression latency
   // matters more than ratio here.
-  const auto packed = LzCompress(pending_, LzLevel::kFast);
-  WriteU32(file_, static_cast<std::uint32_t>(packed.size()));
-  WriteAll(file_, packed.data(), packed.size());
-  bytes_written_ += 4 + packed.size();
+  LzCompress(pending_, LzLevel::kFast, packed_);
+  WriteU32(file_, static_cast<std::uint32_t>(packed_.size()));
+  WriteAll(file_, packed_.data(), packed_.size());
+  bytes_written_ += 4 + packed_.size();
   pending_.clear();
   pending_count_ = 0;
 }

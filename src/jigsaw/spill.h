@@ -92,6 +92,7 @@ class SpillSegmentWriter {
   std::FILE* file_ = nullptr;
   std::size_t records_per_block_;
   Bytes pending_;
+  Bytes packed_;  // the compressed block, reused block after block
   std::uint32_t pending_count_ = 0;
   std::uint64_t records_written_ = 0;
   std::uint64_t bytes_written_ = 0;

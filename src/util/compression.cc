@@ -60,11 +60,37 @@ std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
   return len;
 }
 
+// The decoder copies in fixed 16-byte chunks: a memcpy of a constant size
+// compiles to one vector load and store.
+constexpr std::size_t kCopyChunk = 16;
+constexpr std::size_t kCopySlack = kCopyChunk - 1;
+
+std::size_t RoundUpToChunk(std::size_t n) {
+  return (n + kCopyChunk - 1) & ~(kCopyChunk - 1);
+}
+
+// Copies `n` bytes as whole chunks, so it reads and writes up to
+// RoundUpToChunk(n) bytes.  Chunk k reads [src + 16k, src + 16k + 16) after
+// chunks 0..k-1 were stored, which keeps forward-overlapping copies exact
+// as long as dst - src >= 16.
+void CopyChunks(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += kCopyChunk) {
+    std::memcpy(dst + i, src + i, kCopyChunk);
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
                                      LzLevel level) {
   std::vector<std::uint8_t> out;
+  LzCompress(raw, level, out);
+  return out;
+}
+
+void LzCompress(std::span<const std::uint8_t> raw, LzLevel level,
+                std::vector<std::uint8_t>& out) {
+  out.clear();
   out.reserve(raw.size() / 2 + 16);
   PutU32(out, static_cast<std::uint32_t>(raw.size()));
 
@@ -75,9 +101,14 @@ std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
   // head[h] is the most recent position hashing to h; prev[pos] links each
   // inserted position to the previous one with the same hash, forming the
   // chain the finder walks newest-first (so equal-length ties resolve to
-  // the nearest, i.e. smallest, distance).
-  std::vector<std::uint32_t> head(kHashSize, kNilPos);
-  std::vector<std::uint32_t> prev(n >= kLzMinMatch ? n : 0);
+  // the nearest, i.e. smallest, distance).  Both tables are per-thread
+  // scratch kept across calls, so a writer compressing block after block
+  // does not allocate them for every block.  prev needs no clearing — a
+  // position is inserted before any later position can reach it.
+  thread_local std::vector<std::uint32_t> head;
+  thread_local std::vector<std::uint32_t> prev;
+  head.assign(kHashSize, kNilPos);
+  if (prev.size() < n) prev.resize(n);
 
   const auto insert = [&](std::size_t i) {
     const std::uint32_t h = Hash4(data + i);
@@ -125,7 +156,6 @@ std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
     }
   }
   FlushLiterals(out, data, literal_start, n);
-  return out;
 }
 
 std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
@@ -139,53 +169,76 @@ std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
 
   // A match token (3 bytes) emits at most kLzMaxMatch bytes, so no
   // conforming stream expands beyond kLzMaxMatch per input byte; a declared
-  // raw size past that is self-inconsistent.  Rejecting it here (and capping
-  // the upfront reserve) keeps a hostile 4-byte header from demanding a
-  // 4 GiB allocation — std::bad_alloc is not part of the error taxonomy.
+  // raw size past that is self-inconsistent.  Rejecting it here keeps a
+  // hostile 4-byte header from demanding a 4 GiB allocation (std::bad_alloc
+  // is not part of the error taxonomy) and bounds the buffer sized below at
+  // kLzMaxMatch times the input.
   if (raw_size > (packed.size() - 4) * kLzMaxMatch) {
     throw LzCorruptError("LzDecompress: declared raw size unreachable");
   }
-  constexpr std::size_t kReserveCap = 1u << 20;
-  std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::size_t>(raw_size, kReserveCap));
+  // The whole output up front, plus slack for the 16-byte copies: every
+  // token is bounds-checked against raw_size before it is copied, so a
+  // chunk can overrun the token's end by at most 15 bytes, which later
+  // tokens overwrite or the final resize trims.
+  std::vector<std::uint8_t> out(std::size_t{raw_size} + kCopySlack);
+  std::uint8_t* const base = out.data();
+  std::size_t op = 0;  // bytes decoded so far
+  const std::uint8_t* const in = packed.data();
   std::size_t pos = 4;
   const std::size_t n = packed.size();
   while (pos < n) {
-    const std::uint8_t control = packed[pos++];
+    const std::uint8_t control = in[pos++];
     if (control < 0x80) {
       const std::size_t run = static_cast<std::size_t>(control) + 1;
       if (pos + run > n) {
         throw LzTruncatedError("LzDecompress: literal run truncated");
       }
-      if (out.size() + run > raw_size) {
+      if (op + run > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      out.insert(out.end(), packed.begin() + pos, packed.begin() + pos + run);
+      // Chunked only while the input holds the chunks' overrun too: a run
+      // that ends at the very end of the input is copied exactly.
+      if (n - pos >= RoundUpToChunk(run)) {
+        CopyChunks(base + op, in + pos, run);
+      } else {
+        std::memcpy(base + op, in + pos, run);
+      }
+      op += run;
       pos += run;
     } else {
       const std::size_t len = (control & 0x7Fu) + kLzMinMatch;
       if (pos + 2 > n) {
         throw LzTruncatedError("LzDecompress: match token truncated");
       }
-      const std::size_t dist = static_cast<std::size_t>(packed[pos]) |
-                               (static_cast<std::size_t>(packed[pos + 1]) << 8);
+      const std::size_t dist = static_cast<std::size_t>(in[pos]) |
+                               (static_cast<std::size_t>(in[pos + 1]) << 8);
       pos += 2;
-      if (dist == 0 || dist > out.size()) {
+      if (dist == 0 || dist > op) {
         throw LzCorruptError("LzDecompress: bad match distance");
       }
-      if (out.size() + len > raw_size) {
+      if (op + len > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-      // encode runs, so memcpy would be wrong here.
-      std::size_t src = out.size() - dist;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      std::uint8_t* const dst = base + op;
+      const std::uint8_t* const src = dst - dist;
+      if (dist >= kCopyChunk) {
+        // Each chunk reads only bytes written before it starts (they lie at
+        // least one chunk behind), so an overlapping match with dist >= 16
+        // still repeats exactly as the byte-at-a-time definition does.
+        CopyChunks(dst, src, len);
+      } else {
+        // dist < 16: the match repeats a period shorter than a chunk, so
+        // the copy has to see its own output byte by byte.
+        for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+      }
+      op += len;
     }
   }
-  if (out.size() != raw_size) {
+  if (op != raw_size) {
     throw LzTruncatedError(
         "LzDecompress: stream ends before declared raw size");
   }
+  out.resize(raw_size);
   return out;
 }
 

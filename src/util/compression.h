@@ -67,6 +67,10 @@ class LzCorruptError : public LzError {
 
 std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
                                      LzLevel level = LzLevel::kDefault);
+// The same stream into `out` (cleared first), so a writer that compresses
+// block after block can keep one output buffer.
+void LzCompress(std::span<const std::uint8_t> raw, LzLevel level,
+                std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed);
 
 }  // namespace jig

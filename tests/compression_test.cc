@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
+#include "lz_reference.h"
 #include "util/rng.h"
 
 namespace jig {
@@ -196,6 +201,152 @@ TEST(CompressionErrors, BothKindsAreLzErrorsAndRuntimeErrors) {
   EXPECT_THROW(LzDecompress(Bytes{4, 0, 0, 0, 0x80, 9, 0}), LzError);
   EXPECT_THROW(LzDecompress(Bytes{4, 0, 0, 0, 0x80, 9, 0}),
                std::runtime_error);
+}
+
+// ---- differential: LzDecompress vs the byte-at-a-time reference ---------
+//
+// The decoder writes into a buffer sized up front with 16-byte copies; the
+// reference appends byte by byte.  For every input both must return the
+// same bytes or throw the same error class.
+
+void ExpectSameOutcome(std::span<const std::uint8_t> in,
+                       const std::string& what) {
+  const auto got = testing::DecodeOutcome(
+      [](std::span<const std::uint8_t> b) { return LzDecompress(b); }, in);
+  const auto want =
+      testing::DecodeOutcome(testing::LzDecompressReference, in);
+  EXPECT_EQ(got.error, want.error) << what;
+  EXPECT_TRUE(got.bytes == want.bytes) << what;
+}
+
+// A token stream in the frozen format, built token by token so the test
+// controls distances, run lengths and where the stream ends.
+class TokenStream {
+ public:
+  void Literal(const Bytes& bytes) {
+    packed_.push_back(static_cast<std::uint8_t>(bytes.size() - 1));
+    packed_.insert(packed_.end(), bytes.begin(), bytes.end());
+    raw_ += bytes.size();
+  }
+  void Match(std::size_t len, std::size_t dist) {
+    packed_.push_back(static_cast<std::uint8_t>(0x80 | (len - kLzMinMatch)));
+    packed_.push_back(static_cast<std::uint8_t>(dist));
+    packed_.push_back(static_cast<std::uint8_t>(dist >> 8));
+    raw_ += len;
+  }
+  std::size_t raw() const { return raw_; }
+  // The stream with `declared` as its raw size (default: what it decodes
+  // to).
+  Bytes Build(std::size_t declared) const {
+    Bytes out = {static_cast<std::uint8_t>(declared),
+                 static_cast<std::uint8_t>(declared >> 8),
+                 static_cast<std::uint8_t>(declared >> 16),
+                 static_cast<std::uint8_t>(declared >> 24)};
+    out.insert(out.end(), packed_.begin(), packed_.end());
+    return out;
+  }
+  Bytes Build() const { return Build(raw_); }
+
+ private:
+  Bytes packed_;
+  std::size_t raw_ = 0;
+};
+
+TEST(CompressionDifferential, MatchesReferenceOnFuzzCorpus) {
+  const std::filesystem::path dir = JIG_LZ_CORPUS_DIR;
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream f(entry.path(), std::ios::binary);
+    const Bytes input((std::istreambuf_iterator<char>(f)),
+                      std::istreambuf_iterator<char>());
+    ++files;
+    const std::string name = entry.path().filename().string();
+    ExpectSameOutcome(input, name);
+    // Every prefix (the torn-write shapes) and every single-bit flip.
+    for (std::size_t cut = 0; cut < input.size(); ++cut) {
+      ExpectSameOutcome({input.data(), cut}, name + " cut " +
+                                                 std::to_string(cut));
+    }
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = input;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        ExpectSameOutcome(flipped, name + " flip " + std::to_string(i) +
+                                       "." + std::to_string(bit));
+      }
+    }
+  }
+  EXPECT_GE(files, 4u);
+}
+
+TEST(CompressionDifferential, MatchesReferenceOnRandomTokenStreams) {
+  Rng rng(20261019);
+  for (int iter = 0; iter < 3000; ++iter) {
+    TokenStream ts;
+    const std::size_t tokens = 1 + rng.NextBelow(40);
+    for (std::size_t t = 0; t < tokens; ++t) {
+      if (ts.raw() == 0 || rng.NextBelow(3) == 0) {
+        Bytes lit(1 + rng.NextBelow(128));
+        for (auto& b : lit) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+        ts.Literal(lit);
+        continue;
+      }
+      const std::size_t len = kLzMinMatch + rng.NextBelow(0x80);
+      std::size_t dist = 0;
+      switch (rng.NextBelow(4)) {
+        case 0:  // short period: the byte loop
+          dist = 1 + rng.NextBelow(15);
+          break;
+        case 1:  // exactly one chunk apart
+          dist = 16;
+          break;
+        case 2:  // anywhere in the window
+          dist = 1 + rng.NextBelow(std::min<std::size_t>(ts.raw(), kLzWindow));
+          break;
+        default:  // 16 and above, overlapping when dist < len
+          dist = 16 + rng.NextBelow(len);
+          break;
+      }
+      // Distances past the output are corruption; keep a few of them.
+      if (dist > ts.raw() && rng.NextBelow(8) != 0) dist = ts.raw();
+      ts.Match(len, dist);
+    }
+    // The literal-ends-the-input shape: a last run whose bytes end exactly
+    // at the end of the stream, too close for a chunk copy.
+    if (rng.NextBelow(2) == 0) {
+      Bytes tail(1 + rng.NextBelow(20));
+      for (auto& b : tail) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+      ts.Literal(tail);
+    }
+    const Bytes exact = ts.Build();
+    const std::string what = "iter " + std::to_string(iter);
+    ExpectSameOutcome(exact, what);
+    // Runs that end exactly at raw_size, one byte short of it, or past it.
+    ExpectSameOutcome(ts.Build(ts.raw() + 1), what + " declared +1");
+    if (ts.raw() > 0) ExpectSameOutcome(ts.Build(ts.raw() - 1), what + " -1");
+    // Torn somewhere inside, with the declared size right or one short
+    // (a torn token that also overruns the size: the check order shows).
+    const std::size_t cut = 4 + rng.NextBelow(exact.size() - 3);
+    ExpectSameOutcome({exact.data(), cut}, what + " cut");
+    if (ts.raw() > 0) {
+      const Bytes short_size = ts.Build(ts.raw() - 1);
+      ExpectSameOutcome({short_size.data(), cut}, what + " -1 cut");
+    }
+  }
+}
+
+TEST(CompressionDifferential, MatchesReferenceOnCompressorOutput) {
+  // Real streams: the compressor's long overlapping runs and far matches.
+  for (std::size_t size : {1u, 15u, 16u, 17u, 4096u, 70000u}) {
+    for (int alphabet : {1, 2, 16, 256}) {
+      const auto data = RandomBytes(size, size * 7 + alphabet, alphabet);
+      for (LzLevel level : {LzLevel::kFast, LzLevel::kDefault}) {
+        const auto packed = LzCompress(data, level);
+        ExpectSameOutcome(packed, "size " + std::to_string(size));
+        EXPECT_EQ(LzDecompress(packed), data);
+      }
+    }
+  }
 }
 
 }  // namespace

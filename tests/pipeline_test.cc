@@ -312,6 +312,22 @@ TEST(MetricsDeterminism, StreamIsByteIdenticalWithMetricsToggled) {
 
     ExpectIdenticalStreams(with_metrics.jframes, without_metrics.jframes);
     ExpectEqualStats(with_metrics.stats, without_metrics.stats);
+
+    // The two-consumer form times the Poll thread's wait for the side
+    // consumer; both consumers still see the same stream either way.
+    for (const bool enabled : {true, false}) {
+      obs::SetEnabled(enabled);
+      auto traces = MultiChannelNetwork(7).Build();
+      std::vector<JFrame> main_out;
+      std::vector<JFrame> side_out;
+      MergeSession session(
+          traces, cfg, [&](const JFrame& jf) { main_out.push_back(jf); },
+          [&](const JFrame& jf) { side_out.push_back(jf); });
+      session.Drain();
+      obs::SetEnabled(true);
+      ExpectIdenticalStreams(main_out, with_metrics.jframes);
+      ExpectIdenticalStreams(side_out, with_metrics.jframes);
+    }
   }
 }
 
@@ -435,14 +451,21 @@ TEST(ParallelMerge, SinkExceptionPropagatesAndAbortsWorkers) {
   EXPECT_THROW(session.Poll(), std::logic_error);  // a failed session stays so
 }
 
-// Poll() returns with no round in flight and nothing staged — the cut a
-// checkpoint is taken at.  The sources grow between polls, so every poll
-// but the last returns kBootstrapping or kStarved mid-stream; after each
-// return no stream may be read, and the cumulative stream is the golden
-// one.
+// Poll() returns with no round in flight, nothing staged and the side
+// consumer idle — the cut a checkpoint is taken at.  The sources grow
+// between polls, so every poll but the last returns kBootstrapping or
+// kStarved mid-stream; after each return no stream may be read and the
+// side consumer may see nothing more, both consumers have seen the same
+// jframes, and the cumulative stream is the golden one.
 TEST(ParallelMerge, PollReturnsQuiescent) {
-  for (unsigned threads : {2u, 0u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  struct Case {
+    unsigned threads;
+    bool side;
+  };
+  for (const Case c : {Case{2, false}, Case{0, false}, Case{1, true},
+                       Case{2, true}, Case{0, true}}) {
+    SCOPED_TRACE("threads=" + std::to_string(c.threads) +
+                 (c.side ? " with side consumer" : ""));
     std::atomic<std::uint64_t> reads{0};
     std::vector<GatedCountingStream*> streams;
     TraceSet gated = GatedCounting(
@@ -450,24 +473,102 @@ TEST(ParallelMerge, PollReturnsQuiescent) {
             .Build(),
         reads, &streams);
     MergeConfig cfg;
-    cfg.threads = threads;
+    cfg.threads = c.threads;
     std::vector<JFrame> out;
-    MergeSession session(gated, cfg,
-                         [&out](JFrame&& jf) { out.push_back(std::move(jf)); });
+    std::vector<JFrame> side_out;
+    std::atomic<std::uint64_t> side_calls{0};
+    std::unique_ptr<MergeSession> session;
+    if (c.side) {
+      session = std::make_unique<MergeSession>(
+          gated, cfg, [&out](const JFrame& jf) { out.push_back(jf); },
+          [&](const JFrame& jf) {
+            side_calls.fetch_add(1, std::memory_order_relaxed);
+            side_out.push_back(jf);
+          });
+    } else {
+      session = std::make_unique<MergeSession>(
+          gated, cfg, [&out](JFrame&& jf) { out.push_back(std::move(jf)); });
+    }
     std::size_t starved_polls = 0;
     for (int step = 1; step <= 10; ++step) {
       for (GatedCountingStream* s : streams) s->Release(step / 10.0);
-      const MergeSession::Status status = session.Poll();
+      const MergeSession::Status status = session->Poll();
+      const std::uint64_t side_before = side_calls.load();
       EXPECT_TRUE(NoReadsDuringPause(reads)) << "step " << step;
-      EXPECT_EQ(session.retained_jframes() == 0,
+      EXPECT_EQ(side_calls.load(), side_before) << "step " << step;
+      if (c.side) {
+        EXPECT_EQ(side_out.size(), out.size()) << "step " << step;
+      }
+      EXPECT_EQ(session->retained_jframes() == 0,
                 status == MergeSession::Status::kDone);
       if (status == MergeSession::Status::kStarved) ++starved_polls;
       EXPECT_EQ(status == MergeSession::Status::kDone, step == 10);
     }
     EXPECT_GT(starved_polls, 0u);
-    ExpectGolden(kLongNetworkGolden, out, session.stats());
+    ExpectGolden(kLongNetworkGolden, out, session->stats());
+    if (c.side) ExpectIdenticalStreams(side_out, out);
   }
 }
+
+// The side consumer throws partway through a staged batch while the sink
+// is still draining it and the workers run the next round.  Poll() joins
+// all three before it rethrows: the sink got past the failing jframe (the
+// failure was mid-batch), nothing reads the traces afterwards, the side
+// consumer is never called again, and the session stays failed.  A sink
+// exception likewise stops the side consumer before Poll() rethrows.
+class SideConsumerFailure : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SideConsumerFailure, JoinsEverythingBeforeRethrow) {
+  MergeConfig cfg;
+  cfg.threads = GetParam();
+  constexpr std::uint64_t kFailAt = 500;
+  for (const bool side_fails : {true, false}) {
+    SCOPED_TRACE(side_fails ? "side consumer throws" : "sink throws");
+    std::atomic<std::uint64_t> reads{0};
+    TraceSet gated = GatedCounting(
+        MultiChannelNetwork(kLongNetworkGolden.seed, kLongNetworkDuration)
+            .Build(),
+        reads, nullptr, std::chrono::microseconds(2));
+    std::uint64_t delivered = 0;
+    std::atomic<std::uint64_t> side_calls{0};
+    MergeSession session(
+        gated, cfg,
+        [&](const JFrame&) {
+          if (++delivered == kFailAt && !side_fails) {
+            throw std::runtime_error("sink");
+          }
+        },
+        [&](const JFrame&) {
+          const std::uint64_t n = side_calls.fetch_add(1) + 1;
+          if (n == kFailAt && side_fails) throw std::runtime_error("side");
+          // Slower than the sink, so a sink failure finds it mid-batch.
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        });
+    try {
+      session.Poll();
+      ADD_FAILURE() << "Poll() did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), side_fails ? "side" : "sink");
+    }
+    if (side_fails) {
+      EXPECT_EQ(side_calls.load(), kFailAt);
+      EXPECT_GT(delivered, kFailAt);  // the same batch went on in the sink
+    } else {
+      EXPECT_EQ(delivered, kFailAt);
+      EXPECT_LT(side_calls.load(), kLongNetworkGolden.jframes);
+    }
+    const std::uint64_t side_after = side_calls.load();
+    EXPECT_TRUE(NoReadsDuringPause(reads));
+    EXPECT_EQ(side_calls.load(), side_after);
+    EXPECT_THROW(session.Poll(), std::logic_error);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SideConsumerFailure,
+                         ::testing::Values(1u, 2u, 0u));
 
 // The consumer slower than the workers: the sink spins on every jframe,
 // so each round ends long before its staged batch is drained.  The sources

@@ -12,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -414,7 +418,9 @@ TEST_P(ServiceRecoveryMatrix, KillDuringTraceReadThenRestart) {
     // Radio 2 dies at record #100 of its ~160-record capture — the merge
     // is mid-consumption, the output writer mid-stream.
     DeploymentMonitor victim(crash,
-                             WrapRadio(2, {.kill_at = 100}));
+                             WrapRadio(2, {.kill_at = 100,
+                                           .stall_at = std::nullopt,
+                                           .delay_finalize = false}));
     RunUntilKilled(victim);
   }
 
@@ -438,6 +444,114 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// The output log's thread.
+
+// Pass-through stream that counts every read, so a test can tell whether
+// anything still reads the traces after PollOnce returned or threw.
+class CountingStream final : public RecordStream {
+ public:
+  CountingStream(std::unique_ptr<RecordStream> inner,
+                 std::atomic<std::uint64_t>& reads)
+      : inner_(std::move(inner)), reads_(reads) {}
+  const TraceHeader& header() const override { return inner_->header(); }
+  std::optional<CaptureRecord> Next() override {
+    const CaptureRecord* rec = NextRef();
+    if (rec == nullptr) return std::nullopt;
+    return *rec;
+  }
+  const CaptureRecord* NextRef() override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->NextRef();
+  }
+  void Rewind() override { inner_->Rewind(); }
+  bool Finalized() const override { return inner_->Finalized(); }
+
+ private:
+  std::unique_ptr<RecordStream> inner_;
+  std::atomic<std::uint64_t>& reads_;
+};
+
+class ServiceLogThread : public ServiceTest,
+                         public ::testing::WithParamInterface<unsigned> {};
+
+// The output log runs on the merge session's side thread, beside the
+// analysis bus on the Poll thread.  A kill thrown by after_output_append
+// on that thread, partway through a poll's output (the pipeline tests pin
+// the batch-level join): PollOnce rethrows it,
+// nothing reads a trace or appends to the log afterwards, and a restart
+// completes a log byte-identical to the uninterrupted run's.
+TEST_P(ServiceLogThread, KillOnLogThreadMidPollThenRestart) {
+  const unsigned threads = GetParam();
+  const fs::path traces = WriteTraces(42);
+  constexpr std::uint64_t kKillAt = 137;
+
+  DeploymentConfig base = Cfg("base", traces, threads);
+  base.analysis = true;
+  std::vector<std::uint64_t> persisted_per_poll;
+  {
+    DeploymentMonitor baseline(base);
+    for (int i = 0; i < kMaxRounds; ++i) {
+      const auto state = baseline.PollOnce();
+      persisted_per_poll.push_back(baseline.jframes_persisted());
+      if (state == DeploymentMonitor::State::kDone) break;
+    }
+    ASSERT_EQ(baseline.state(), DeploymentMonitor::State::kDone);
+  }
+  const LogContents expect = ReadLog(base.state_dir);
+  ASSERT_GT(expect.jframes.size(), 300u);
+  // No poll ends right after jframe #kKillAt, so the kill lands while the
+  // session still has more of that poll's output to hand out.
+  EXPECT_TRUE(std::any_of(
+      persisted_per_poll.begin(), persisted_per_poll.end(),
+      [](std::uint64_t n) { return n > kKillAt + 1; }));
+  EXPECT_FALSE(std::any_of(
+      persisted_per_poll.begin(), persisted_per_poll.end(),
+      [](std::uint64_t n) { return n == kKillAt + 1; }));
+
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> appends{0};
+  std::atomic<bool> on_poll_thread{false};
+  const std::thread::id poll_thread = std::this_thread::get_id();
+  DeploymentConfig crash = Cfg("crash", traces, threads);
+  crash.analysis = true;
+  crash.hooks.after_output_append = [&](std::uint64_t index) {
+    appends.fetch_add(1);
+    if (std::this_thread::get_id() == poll_thread) on_poll_thread = true;
+    if (index == kKillAt) {
+      throw KillPoint("log thread, append #" + std::to_string(index));
+    }
+  };
+  {
+    DeploymentMonitor victim(
+        crash, [&reads](std::unique_ptr<RecordStream> inner, std::uint32_t) {
+          return std::make_unique<CountingStream>(std::move(inner), reads);
+        });
+    RunUntilKilled(victim);
+    EXPECT_EQ(appends.load(), kKillAt + 1);
+    const std::uint64_t reads_at_throw = reads.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(reads.load(), reads_at_throw);
+    EXPECT_EQ(appends.load(), kKillAt + 1);
+  }
+  EXPECT_FALSE(on_poll_thread.load());
+
+  DeploymentConfig resume = Cfg("crash", traces, threads);
+  resume.analysis = true;
+  DeploymentMonitor restarted(resume);
+  EXPECT_TRUE(restarted.recovered_from_checkpoint());
+  RunToDone(restarted);
+  const LogContents got = ReadLog(resume.state_dir);
+  EXPECT_EQ(got.bytes, expect.bytes);
+  testing::ExpectIdenticalStreams(got.jframes, expect.jframes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ServiceLogThread,
+                         ::testing::Values(1u, 2u, 0u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
 // Clean shutdown (the SIGTERM door).
 
 // Shutdown() mid-stream publishes the pending block and checkpoints; a
@@ -457,7 +571,9 @@ TEST_F(ServiceTest, CleanShutdownThenRestartResumesSameStream) {
     // lagging writer, so the monitor is genuinely mid-stream (some
     // jframes emitted, more to come) when the shutdown lands.
     DeploymentConfig first = Cfg("svc", traces);
-    DeploymentMonitor m(first, WrapRadio(1, {.stall_at = 80}));
+    DeploymentMonitor m(first, WrapRadio(1, {.kill_at = std::nullopt,
+                                             .stall_at = 80,
+                                             .delay_finalize = false}));
     for (int i = 0; i < kMaxRounds && m.jframes_persisted() == 0; ++i) {
       ASSERT_NE(m.PollOnce(), DeploymentMonitor::State::kDone)
           << "stalled radio must keep the monitor mid-stream";
@@ -548,11 +664,17 @@ TEST_F(ServiceTest, SoakManyDeploymentsChurnBoundedRetention) {
     switch (i % 4) {
       case 1:  // a lagging radio: parks mid-stream until released
         wrapper = WrapRadio(static_cast<std::uint32_t>(i % kRadios),
-                            {.stall_at = 40}, &faulty[i]);
+                            {.kill_at = std::nullopt,
+                             .stall_at = 40,
+                             .delay_finalize = false},
+                            &faulty[i]);
         break;
       case 2:  // its peers finalize early; this radio's marker lags
         wrapper = WrapRadio(static_cast<std::uint32_t>(i % kRadios),
-                            {.delay_finalize = true}, &faulty[i]);
+                            {.kill_at = std::nullopt,
+                             .stall_at = std::nullopt,
+                             .delay_finalize = true},
+                            &faulty[i]);
         break;
       case 3: {  // the last radio joins only mid-run
         tdir = dir_ / ("join" + std::to_string(i));
@@ -573,7 +695,11 @@ TEST_F(ServiceTest, SoakManyDeploymentsChurnBoundedRetention) {
       default:
         break;
     }
-    DeploymentConfig cfg = Cfg("d" + std::to_string(i), tdir);
+    // Appended, not `"d" + std::to_string(i)`: gcc 12 inlines that
+    // operator+ into a -Wrestrict false positive (GCC bug 105329).
+    std::string name = "d";
+    name += std::to_string(i);
+    DeploymentConfig cfg = Cfg(name, tdir);
     cfg.retention_window_us = 300'000;
     cfg.max_output_bytes = kByteCap;
     service.AddDeployment(std::move(cfg), std::move(wrapper));
