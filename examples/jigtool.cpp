@@ -8,11 +8,10 @@
 //   jigtool demo-live <dir> [s] [ms]  simulate, then *write the traces
 //                                   incrementally* (Sync every chunk,
 //                                   finalize at the end) — a stand-in live
-//                                   writer for --follow consumers
+//                                   writer for `follow` consumers
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
-//                 [--mmap] [--pin-threads]
 //                                   run the merge, print summary statistics
 //                                   (threads: 0 = auto, 1 = one worker;
 //                                   --spill-dir stages shard backlog on disk
@@ -20,19 +19,14 @@
 //                                   --spill-threshold overrides the queue
 //                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
-//                                   registry as JSON after the run;
-//                                   --mmap memory-maps the trace files, with
-//                                   silent fallback to buffered reads;
-//                                   --pin-threads pins shard workers to CPUs
-//                                   round-robin — Linux only, no-op
-//                                   elsewhere.  Neither changes the output)
+//                                   registry as JSON after the run)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
-//                 [--pin-threads]
+//                 [--spill-threshold <n>]
 //                                   tail a directory that is still being
 //                                   written: resumable MergeSession +
-//                                   analysis bus, merge summary at the end
-//                                   (tail readers always use buffered reads;
-//                                   --mmap does not apply)
+//                                   analysis bus, per-second OnlineMonitor
+//                                   windows and Figure 9/11 snapshots, and
+//                                   the merge summary at the end
 //   jigtool stats <dir> [interval_s] [--stats-json <file>]
 //                                   run (or tail) the merge and expose the
 //                                   metric registry in Prometheus text
@@ -105,9 +99,11 @@
 //                                   have.
 //
 // Exit codes: 0 success, 1 unreadable/missing input or unreachable peer,
-// 2 usage error, 3 corrupt or truncated input (inspect-spill, stats, and
-// every network door — a mid-stream disconnect is truncation).  serve
-// follows the same contract: an unloadable .jigc checkpoint or a
+// 2 usage error, 3 corrupt or truncated input.  main maps the trace-error
+// taxonomy once for every command: a TraceTruncatedError or
+// TraceCorruptError that escapes a command is 3, any other exception 1.
+// The network doors treat a mid-stream disconnect as truncation (3).
+// serve follows the same contract: an unloadable .jigc checkpoint or a
 // deployment that ends failed is 3; a missing trace directory is 1; a
 // SIGTERM'd daemon exits 0 after its final snapshot flush.
 //
@@ -126,6 +122,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -164,8 +161,8 @@ int CmdDemo(const char* dir) {
 
 // Replays a simulated capture as a live writer: the traces are appended in
 // capture-time chunks with a Sync (block cut + flush) after each, so a
-// concurrent `jigtool follow` / `live_monitor --follow` sees the files
-// grow; every trace is finalized at the end.
+// concurrent `jigtool follow` sees the files grow; every trace is finalized
+// at the end.
 int CmdDemoLive(const char* dir, long seconds, long chunk_wall_ms) {
   ScenarioConfig config;
   config.seed = 10;
@@ -393,67 +390,56 @@ int CmdServeTrace(const char* file, const char* host, long port) {
 // the ingest half of a collector: network in, seekable files out.
 int CmdCollect(const char* out_dir, long port, long n,
                const char* ready_file) {
-  try {
-    net::Listener listener("127.0.0.1", static_cast<std::uint16_t>(port));
-    std::printf("collecting %ld streams on 127.0.0.1:%u ...\n", n,
-                listener.port());
-    if (ready_file != nullptr) {
-      // The listener is bound: senders may dial from here on.  Atomic, so
-      // a poller never reads a half-written port number.
-      obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
-    }
-    TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
-    std::filesystem::create_directories(out_dir);
-    std::vector<std::unique_ptr<TraceFileWriter>> writers;
-    std::vector<SocketTrace*> sockets;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
-      sockets.push_back(&st);
-      writers.push_back(std::make_unique<TraceFileWriter>(
-          std::filesystem::path(out_dir) /
-              ("r" + std::to_string(st.header().radio) + ".jigt"),
-          st.header()));
-    }
-    std::vector<bool> done(traces.size(), false);
-    std::vector<std::uint64_t> written(traces.size(), 0);
-    for (;;) {
-      bool all_done = true;
-      bool progress = false;
-      for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (done[i]) continue;
-        while (const CaptureRecord* rec = sockets[i]->NextRef()) {
-          writers[i]->Append(*rec);
-          ++written[i];
-          progress = true;
-        }
-        if (sockets[i]->Finalized()) {
-          writers[i]->Finish();
-          done[i] = true;
-          std::printf("  r%u finalized: %llu records\n",
-                      sockets[i]->header().radio,
-                      static_cast<unsigned long long>(written[i]));
-          progress = true;
-        } else {
-          all_done = false;
-        }
-      }
-      if (all_done) break;
-      if (!progress) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    }
-    std::printf("collected %zu traces into %s\n", traces.size(), out_dir);
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated stream: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt stream: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  net::Listener listener("127.0.0.1", static_cast<std::uint16_t>(port));
+  std::printf("collecting %ld streams on 127.0.0.1:%u ...\n", n,
+              listener.port());
+  if (ready_file != nullptr) {
+    // The listener is bound: senders may dial from here on.  Atomic, so
+    // a poller never reads a half-written port number.
+    obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
   }
+  TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
+  std::filesystem::create_directories(out_dir);
+  std::vector<std::unique_ptr<TraceFileWriter>> writers;
+  std::vector<SocketTrace*> sockets;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
+    sockets.push_back(&st);
+    writers.push_back(std::make_unique<TraceFileWriter>(
+        std::filesystem::path(out_dir) /
+            ("r" + std::to_string(st.header().radio) + ".jigt"),
+        st.header()));
+  }
+  std::vector<bool> done(traces.size(), false);
+  std::vector<std::uint64_t> written(traces.size(), 0);
+  for (;;) {
+    bool all_done = true;
+    bool progress = false;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (done[i]) continue;
+      while (const CaptureRecord* rec = sockets[i]->NextRef()) {
+        writers[i]->Append(*rec);
+        ++written[i];
+        progress = true;
+      }
+      if (sockets[i]->Finalized()) {
+        writers[i]->Finish();
+        done[i] = true;
+        std::printf("  r%u finalized: %llu records\n",
+                    sockets[i]->header().radio,
+                    static_cast<unsigned long long>(written[i]));
+        progress = true;
+      } else {
+        all_done = false;
+      }
+    }
+    if (all_done) break;
+    if (!progress) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  std::printf("collected %zu traces into %s\n", traces.size(), out_dir);
+  return 0;
 }
 
 // Wing node: local merge over a trace directory, relaying every radio's
@@ -465,65 +451,43 @@ int CmdWing(const char* dir, const char* root_host, long root_port,
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
   }
-  try {
-    WingConfig cfg;
-    cfg.wing_id = static_cast<std::uint32_t>(wing_id);
-    cfg.root_host = root_host;
-    cfg.root_port = static_cast<std::uint16_t>(root_port);
-    cfg.merge.threads = threads;
-    if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
-    WingSession wing(traces, cfg);
-    const auto stats = wing.Run();
-    std::printf("wing %ld: relayed %llu records from %zu radios "
-                "(%llu local jframes)\n",
-                wing_id,
-                static_cast<unsigned long long>(wing.records_relayed()),
-                traces.size(),
-                static_cast<unsigned long long>(stats.stats.jframes));
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated input: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt input: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  WingConfig cfg;
+  cfg.wing_id = static_cast<std::uint32_t>(wing_id);
+  cfg.root_host = root_host;
+  cfg.root_port = static_cast<std::uint16_t>(root_port);
+  cfg.merge.threads = threads;
+  if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
+  WingSession wing(traces, cfg);
+  const auto stats = wing.Run();
+  std::printf("wing %ld: relayed %llu records from %zu radios "
+              "(%llu local jframes)\n",
+              wing_id,
+              static_cast<unsigned long long>(wing.records_relayed()),
+              traces.size(),
+              static_cast<unsigned long long>(stats.stats.jframes));
+  return 0;
 }
 
 // Root node: global merge over every wing's relayed radio streams.
 int CmdRoot(long port, long n, unsigned threads, const char* spill_dir) {
-  try {
-    RootConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(port);
-    cfg.n_streams = static_cast<std::size_t>(n);
-    cfg.merge.threads = threads;
-    if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
-    RootSession root(cfg);
-    std::printf("root: accepting %ld streams on 127.0.0.1:%u ...\n", n,
-                root.port());
-    const auto stats = root.Run([](JFrame&&) {});
-    std::printf("radios synced:     %zu/%zu\n",
-                stats.bootstrap.SyncedCount(), stats.bootstrap.synced.size());
-    std::printf("jframes:           %llu (%llu across wing boundaries)\n",
-                static_cast<unsigned long long>(root.jframes()),
-                static_cast<unsigned long long>(root.boundary_jframes()));
-    std::printf("events:            %llu (%llu valid)\n",
-                static_cast<unsigned long long>(stats.stats.events_in),
-                static_cast<unsigned long long>(stats.stats.valid_in));
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated stream: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt stream: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  RootConfig cfg;
+  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.n_streams = static_cast<std::size_t>(n);
+  cfg.merge.threads = threads;
+  if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
+  RootSession root(cfg);
+  std::printf("root: accepting %ld streams on 127.0.0.1:%u ...\n", n,
+              root.port());
+  const auto stats = root.Run([](JFrame&&) {});
+  std::printf("radios synced:     %zu/%zu\n",
+              stats.bootstrap.SyncedCount(), stats.bootstrap.synced.size());
+  std::printf("jframes:           %llu (%llu across wing boundaries)\n",
+              static_cast<unsigned long long>(root.jframes()),
+              static_cast<unsigned long long>(root.boundary_jframes()));
+  std::printf("events:            %llu (%llu valid)\n",
+              static_cast<unsigned long long>(stats.stats.events_in),
+              static_cast<unsigned long long>(stats.stats.valid_in));
+  return 0;
 }
 
 // SIGTERM/SIGINT door for `jigtool serve`: the handler only sets a flag;
@@ -662,41 +626,42 @@ int CmdInfo(const char* dir) {
   return 0;
 }
 
-int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json, bool use_mmap,
-             bool pin_threads) {
-  TraceReadOptions read_options;
-  read_options.use_mmap = use_mmap;
-  TraceSet traces = TraceSet::OpenDirectory(dir, read_options);
-  if (traces.empty()) {
-    std::fprintf(stderr, "no .jigt files in %s\n", dir);
-    return 1;
-  }
-  // One streaming pass: the (optionally channel-sharded parallel) merge
-  // feeds the windowed link reconstruction, the interference and TCP-loss
-  // figures and the dispersion CDF through the bus — no jframe vector is
-  // ever materialized; peak buffering is bounded by the 500 ms exchange
-  // timeout.
-  AnalysisBus bus;
-  auto& link = bus.Emplace<LinkConsumer>();
-  auto& interference = bus.Emplace<InterferenceConsumer>(link);
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-  auto& dispersion = bus.Emplace<DispersionConsumer>();
+// The stock analysis chain on the bus.  Windowed throughout: link,
+// interference and TCP loss ride the incremental reconstructor, so peak
+// buffering is bounded by the 500 ms exchange timeout and no jframe vector
+// is ever materialized.
+struct Analyses {
+  explicit Analyses(AnalysisBus& bus)
+      : link(bus.Emplace<LinkConsumer>()),
+        interference(bus.Emplace<InterferenceConsumer>(link)),
+        tcp_loss(bus.Emplace<TcpLossConsumer>(link)),
+        dispersion(bus.Emplace<DispersionConsumer>()) {}
+
+  LinkConsumer& link;
+  InterferenceConsumer& interference;
+  TcpLossConsumer& tcp_loss;
+  DispersionConsumer& dispersion;
+};
+
+MergeConfig CliMergeConfig(unsigned threads, const char* spill_dir,
+                           long spill_threshold) {
   MergeConfig cfg;
   cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
   if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
   if (spill_threshold > 0) {
     cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
   }
-  const auto stream = MergeTracesStreaming(traces, cfg, bus.Sink());
-  bus.Finish();
+  return cfg;
+}
 
-  const auto& st = stream.stats;
+// The summary merge and follow print once the stream ends.  A live stream
+// is byte-identical to the batch stream of the finished files, so follow
+// over a finished directory prints exactly what merge prints.
+void PrintSummary(const BootstrapResult& bootstrap, const UnifyStats& st,
+                  const AnalysisBus& bus, const Analyses& a) {
   std::printf("radios synced:     %zu/%zu (BFS depth %d, |G|=%zu)\n",
-              stream.bootstrap.SyncedCount(), stream.bootstrap.synced.size(),
-              stream.bootstrap.max_bfs_depth,
-              stream.bootstrap.sync_set_size);
+              bootstrap.SyncedCount(), bootstrap.synced.size(),
+              bootstrap.max_bfs_depth, bootstrap.sync_set_size);
   std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
               "PHY-err)\n",
               static_cast<unsigned long long>(st.events_in),
@@ -707,38 +672,57 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
               static_cast<unsigned long long>(st.jframes),
               st.EventsPerJframe(),
               static_cast<unsigned long long>(st.resyncs));
-  if (!dispersion.distribution().empty()) {
+  const Distribution& dispersion = a.dispersion.distribution();
+  if (!dispersion.empty()) {
     std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
-                dispersion.distribution().Quantile(0.50),
-                dispersion.distribution().Quantile(0.90),
-                dispersion.distribution().Quantile(0.99));
+                dispersion.Quantile(0.50), dispersion.Quantile(0.90),
+                dispersion.Quantile(0.99));
   }
   std::printf("link layer:        %llu attempts -> %llu exchanges "
               "(%.2f%% / %.2f%% inferred)\n",
-              static_cast<unsigned long long>(link.stats().attempts),
-              static_cast<unsigned long long>(link.stats().exchanges),
-              100.0 * link.stats().AttemptInferenceRate(),
-              100.0 * link.stats().ExchangeInferenceRate());
+              static_cast<unsigned long long>(a.link.stats().attempts),
+              static_cast<unsigned long long>(a.link.stats().exchanges),
+              100.0 * a.link.stats().AttemptInferenceRate(),
+              100.0 * a.link.stats().ExchangeInferenceRate());
   std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered, "
               "background loss %.3f\n",
-              interference.report().pairs.size(),
-              100.0 * interference.report().fraction_pairs_interfered,
-              interference.report().mean_background_loss);
+              a.interference.report().pairs.size(),
+              100.0 * a.interference.report().fraction_pairs_interfered,
+              a.interference.report().mean_background_loss);
   std::printf("tcp loss:          %llu flows, %.4f aggregate "
               "(%.4f wireless / %.4f wired)\n",
               static_cast<unsigned long long>(
-                  tcp_loss.report().flows_considered),
-              tcp_loss.report().aggregate_loss_rate,
-              tcp_loss.report().aggregate_wireless_rate,
-              tcp_loss.report().aggregate_wired_rate);
+                  a.tcp_loss.report().flows_considered),
+              a.tcp_loss.report().aggregate_loss_rate,
+              a.tcp_loss.report().aggregate_wireless_rate,
+              a.tcp_loss.report().aggregate_wired_rate);
   std::printf("stream window:     peak %zu jframes buffered "
               "(%.2f%% of %llu)\n",
-              link.peak_window_jframes(),
+              a.link.peak_window_jframes(),
               bus.jframes_seen()
-                  ? 100.0 * static_cast<double>(link.peak_window_jframes()) /
+                  ? 100.0 *
+                        static_cast<double>(a.link.peak_window_jframes()) /
                         static_cast<double>(bus.jframes_seen())
                   : 0.0,
               static_cast<unsigned long long>(bus.jframes_seen()));
+}
+
+int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
+             long spill_threshold, const char* stats_json) {
+  TraceSet traces = TraceSet::OpenDirectory(dir);
+  if (traces.empty()) {
+    std::fprintf(stderr, "no .jigt files in %s\n", dir);
+    return 1;
+  }
+  // One streaming pass: the (optionally channel-sharded parallel) merge
+  // feeds every analysis through the bus at once.
+  AnalysisBus bus;
+  const Analyses analyses(bus);
+  const auto stream = MergeTracesStreaming(
+      traces, CliMergeConfig(threads, spill_dir, spill_threshold),
+      bus.Sink());
+  bus.Finish();
+  PrintSummary(stream.bootstrap, stream.stats, bus, analyses);
   if (stats_json != nullptr) {
     obs::WriteFileAtomic(stats_json,
                          obs::ToJson(obs::MetricRegistry::Global().Collect()));
@@ -747,106 +731,20 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   return 0;
 }
 
-// Tails a directory of growing traces with a resumable MergeSession and
-// prints periodic Figure 9/11 snapshots; once every writer finalizes, the
-// summary is identical to `jigtool merge` over the finished files (the
-// live stream is byte-identical to the batch stream by construction).
-int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
-              const char* spill_dir, long spill_threshold,
-              bool pin_threads) {
-  std::printf("following %s ...\n", dir);
-  TraceSet traces = TraceSet::FollowDirectory(dir, radios);
-  std::printf("tailing %zu traces\n", traces.size());
-
-  AnalysisBus bus;
-  auto& link = bus.Emplace<LinkConsumer>();
-  auto& interference = bus.Emplace<InterferenceConsumer>(link);
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-  auto& dispersion = bus.Emplace<DispersionConsumer>();
-  MergeConfig cfg;
-  cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
-  if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
-  if (spill_threshold > 0) {
-    cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
-  }
-  MergeSession session(traces, cfg, bus.Sink());
-
-  auto last_snapshot = std::chrono::steady_clock::now();
-  for (;;) {
-    const auto status = session.Poll();
-    if (status == MergeSession::Status::kDone) break;
-    const auto now = std::chrono::steady_clock::now();
-    if (session.bootstrapped() &&
-        now - last_snapshot >= std::chrono::seconds(1)) {
-      const auto fig9 = interference.SnapshotReport();
-      const auto fig11 = tcp_loss.SnapshotReport();
-      std::printf("  [live] %llu jframes | fig9 %zu pairs (%.1f%% "
-                  "interfered) | fig11 %llu flows loss %.4f | "
-                  "%zu retained, %llu spilled\n",
-                  static_cast<unsigned long long>(session.jframes_emitted()),
-                  fig9.pairs.size(),
-                  100.0 * fig9.fraction_pairs_interfered,
-                  static_cast<unsigned long long>(fig11.flows_considered),
-                  fig11.aggregate_loss_rate, session.retained_jframes(),
-                  static_cast<unsigned long long>(
-                      session.spilled_jframes()));
-      last_snapshot = now;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  bus.Finish();
-
-  const auto st = session.stats();
-  std::printf("radios synced:     %zu/%zu\n",
-              session.bootstrap().SyncedCount(),
-              session.bootstrap().synced.size());
-  std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
-              "PHY-err)\n",
-              static_cast<unsigned long long>(st.events_in),
-              static_cast<unsigned long long>(st.valid_in),
-              static_cast<unsigned long long>(st.fcs_error_in),
-              static_cast<unsigned long long>(st.phy_error_in));
-  std::printf("jframes:           %llu (%.2f events each, %llu resyncs)\n",
-              static_cast<unsigned long long>(st.jframes),
-              st.EventsPerJframe(),
-              static_cast<unsigned long long>(st.resyncs));
-  if (!dispersion.distribution().empty()) {
-    std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
-                dispersion.distribution().Quantile(0.50),
-                dispersion.distribution().Quantile(0.90),
-                dispersion.distribution().Quantile(0.99));
-  }
-  std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered\n",
-              interference.report().pairs.size(),
-              100.0 * interference.report().fraction_pairs_interfered);
-  std::printf("tcp loss:          %llu flows, %.4f aggregate "
-              "(%.4f wireless / %.4f wired)\n",
-              static_cast<unsigned long long>(
-                  tcp_loss.report().flows_considered),
-              tcp_loss.report().aggregate_loss_rate,
-              tcp_loss.report().aggregate_wireless_rate,
-              tcp_loss.report().aggregate_wired_rate);
-  std::printf("live retention:    peak %zu jframes buffered, %llu spilled "
-              "to disk\n",
-              session.peak_retained_jframes(),
-              static_cast<unsigned long long>(session.spilled_jframes()));
-  return 0;
-}
-
-// Runs (or tails) the merge over a directory and exposes the pipeline
-// metric registry in Prometheus text format: one dump every `interval_s`
-// while the run is live, and a final dump once it completes.  With
-// --stats-json the final snapshot is also written as JSON.  Works on
-// finalized and still-growing directories alike (FollowDirectory tails
-// both).
-int CmdStats(const char* dir, long interval_s, const char* stats_json) {
-  namespace fs = std::filesystem;
-  // Pre-check the directory so missing input fails fast instead of
-  // spending FollowDirectory's settle timeout.
+// The directory-tail loop follow and stats share: FollowDirectory, a
+// resumable MergeSession over `bus`, Poll/sleep until every writer
+// finalizes, then Finish.  `on_interval` runs every `interval` while the
+// run is live; `on_done` runs once the bus has drained.  Works on
+// finalized and still-growing directories alike.
+int TailDirectory(const char* dir, std::size_t radios, const MergeConfig& cfg,
+                  AnalysisBus& bus, std::chrono::seconds interval,
+                  const std::function<void(const MergeSession&)>& on_interval,
+                  const std::function<void(const MergeSession&)>& on_done) {
+  // Missing input fails fast instead of spending FollowDirectory's settle
+  // timeout.
   std::error_code ec;
   bool any_trace = false;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (entry.path().extension() == ".jigt") {
       any_trace = true;
       break;
@@ -856,48 +754,100 @@ int CmdStats(const char* dir, long interval_s, const char* stats_json) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
   }
-  if (interval_s <= 0) interval_s = 1;
-  try {
-    TraceSet traces = TraceSet::FollowDirectory(dir);
-    // Register the stock analysis chain so the bus/consumer metrics tick:
-    // a stats run should expose the same stages a real merge exercises.
-    AnalysisBus bus;
-    auto& link = bus.Emplace<LinkConsumer>();
-    bus.Emplace<InterferenceConsumer>(link);
-    bus.Emplace<TcpLossConsumer>(link);
-    MergeConfig cfg;
-    MergeSession session(traces, cfg, bus.Sink());
-    auto last_dump = std::chrono::steady_clock::now();
-    for (;;) {
-      const auto status = session.Poll();
-      if (status == MergeSession::Status::kDone) break;
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_dump >= std::chrono::seconds(interval_s)) {
+  TraceSet traces = TraceSet::FollowDirectory(dir, radios);
+  MergeSession session(traces, cfg, bus.Sink());
+  auto last = std::chrono::steady_clock::now();
+  while (session.Poll() != MergeSession::Status::kDone) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last >= interval) {
+      on_interval(session);
+      last = now;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  bus.Finish();
+  on_done(session);
+  return 0;
+}
+
+// Tails a directory of growing traces: per-second OnlineMonitor windows
+// and Figure 9/11 snapshots while the files grow, then the merge summary.
+int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
+              const char* spill_dir, long spill_threshold) {
+  std::printf("following %s ...\n", dir);
+  std::printf("  %8s %8s %7s %7s %7s %8s %8s %7s %7s %9s\n", "window",
+              "jframes", "data", "mgmt", "ctrl", "clients", "APs", "util",
+              "bcast", "sync-disp");
+  UniversalMicros origin = 0;
+  AnalysisBus bus;
+  bus.Emplace<OnlineMonitorConsumer>(
+      Seconds(1), [&origin](const OnlineWindowStats& w) {
+        if (origin == 0) origin = w.window_start;
+        std::printf("  %6llds %8llu %7llu %7llu %7llu %8d %8d %6.1f%% "
+                    "%6.1f%% %7lldus\n",
+                    static_cast<long long>((w.window_start - origin) /
+                                           kMicrosPerSecond),
+                    static_cast<unsigned long long>(w.jframes),
+                    static_cast<unsigned long long>(w.data_frames),
+                    static_cast<unsigned long long>(w.mgmt_frames),
+                    static_cast<unsigned long long>(w.ctrl_frames),
+                    w.active_clients, w.active_aps,
+                    100.0 * w.airtime_fraction,
+                    100.0 * w.broadcast_airtime_fraction,
+                    static_cast<long long>(w.worst_dispersion));
+      });
+  const Analyses analyses(bus);
+  return TailDirectory(
+      dir, radios, CliMergeConfig(threads, spill_dir, spill_threshold), bus,
+      std::chrono::seconds(1),
+      [&analyses](const MergeSession& session) {
+        if (!session.bootstrapped()) return;
+        const auto fig9 = analyses.interference.SnapshotReport();
+        const auto fig11 = analyses.tcp_loss.SnapshotReport();
+        std::printf(
+            "  [live] %llu jframes | fig9 %zu pairs (%.1f%% interfered) | "
+            "fig11 %llu flows loss %.4f | %zu retained, %llu spilled\n",
+            static_cast<unsigned long long>(session.jframes_emitted()),
+            fig9.pairs.size(), 100.0 * fig9.fraction_pairs_interfered,
+            static_cast<unsigned long long>(fig11.flows_considered),
+            fig11.aggregate_loss_rate, session.retained_jframes(),
+            static_cast<unsigned long long>(session.spilled_jframes()));
+      },
+      [&bus, &analyses](const MergeSession& session) {
+        PrintSummary(session.bootstrap(), session.stats(), bus, analyses);
+        std::printf("live retention:    peak %zu jframes buffered, %llu "
+                    "spilled to disk\n",
+                    session.peak_retained_jframes(),
+                    static_cast<unsigned long long>(
+                        session.spilled_jframes()));
+      });
+}
+
+// Runs (or tails) the merge over a directory and exposes the pipeline
+// metric registry in Prometheus text format: one dump every `interval_s`
+// while the run is live, and a final dump once it completes.  With
+// --stats-json the final snapshot is also written as JSON.  The stock
+// analysis chain rides the bus, so the bus/consumer metrics tick as in a
+// real merge.
+int CmdStats(const char* dir, long interval_s, const char* stats_json) {
+  AnalysisBus bus;
+  const Analyses analyses(bus);
+  return TailDirectory(
+      dir, 0, MergeConfig{}, bus,
+      std::chrono::seconds(std::max(interval_s, 1L)),
+      [](const MergeSession& session) {
         std::printf("# live merge lag: %lld us\n%s\n",
                     static_cast<long long>(session.live_lag_us()),
                     obs::ToPrometheusText(session.MetricsSnapshot()).c_str());
-        last_dump = now;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    bus.Finish();
-    const auto snapshot = session.MetricsSnapshot();
-    std::printf("%s", obs::ToPrometheusText(snapshot).c_str());
-    if (stats_json != nullptr) {
-      obs::WriteFileAtomic(stats_json, obs::ToJson(snapshot));
-      std::fprintf(stderr, "wrote metrics JSON to %s\n", stats_json);
-    }
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated input: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt input: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+      },
+      [stats_json](const MergeSession& session) {
+        const auto snapshot = session.MetricsSnapshot();
+        std::printf("%s", obs::ToPrometheusText(snapshot).c_str());
+        if (stats_json != nullptr) {
+          obs::WriteFileAtomic(stats_json, obs::ToJson(snapshot));
+          std::fprintf(stderr, "wrote metrics JSON to %s\n", stats_json);
+        }
+      });
 }
 
 // Decodes every spill segment in a directory using the strict reader —
@@ -1001,16 +951,13 @@ int CmdTimeline(const char* dir, Micros span) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Dispatch(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: jigtool demo|demo-live|info|merge|follow|stats|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] [--mmap] [--pin-threads] "
-                 "[--tcp <port>]\n");
+                 "[--stats-json <file>] [--tcp <port>]\n");
     return 2;
   }
   const char* cmd = argv[1];
@@ -1021,8 +968,6 @@ int main(int argc, char** argv) {
   const char* stats_json = nullptr;
   long spill_threshold = 0;
   long tcp_port = -1;
-  bool use_mmap = false;
-  bool pin_threads = false;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
   std::vector<const char*> pos;
@@ -1056,14 +1001,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--until-done") == 0) {
       serve_opt.until_done = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--mmap") == 0) {
-      use_mmap = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--pin-threads") == 0) {
-      pin_threads = true;
       continue;
     }
     if (std::strcmp(argv[i], "--spill-dir") == 0) {
@@ -1121,19 +1058,6 @@ int main(int argc, char** argv) {
       std::strcmp(cmd, "stats") != 0) {
     std::fprintf(stderr,
                  "warning: --stats-json only applies to merge/stats; "
-                 "ignored for '%s'\n",
-                 cmd);
-  }
-  if (use_mmap && std::strcmp(cmd, "merge") != 0) {
-    std::fprintf(stderr,
-                 "warning: --mmap only applies to merge (tail readers "
-                 "re-poll a growing file); ignored for '%s'\n",
-                 cmd);
-  }
-  if (pin_threads && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "follow") != 0) {
-    std::fprintf(stderr,
-                 "warning: --pin-threads only applies to merge/follow; "
                  "ignored for '%s'\n",
                  cmd);
   }
@@ -1200,12 +1124,12 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json, use_mmap, pin_threads);
+                    spill_threshold, stats_json);
   }
   if (std::strcmp(cmd, "follow") == 0) {
     return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),
                      static_cast<unsigned>(pos_long(1, 0)), spill_dir,
-                     spill_threshold, pin_threads);
+                     spill_threshold);
   }
   if (std::strcmp(cmd, "stats") == 0) {
     return CmdStats(dir, pos_long(0, 1), stats_json);
@@ -1216,4 +1140,22 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "unknown command: %s\n", cmd);
   return 2;
+}
+
+}  // namespace
+
+// The one exception-to-exit-code mapping (see the header comment).
+int main(int argc, char** argv) {
+  try {
+    return Dispatch(argc, argv);
+  } catch (const jig::TraceTruncatedError& e) {
+    std::fprintf(stderr, "truncated input: %s\n", e.what());
+    return 3;
+  } catch (const jig::TraceCorruptError& e) {
+    std::fprintf(stderr, "corrupt input: %s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -438,7 +438,7 @@ class InterferenceConsumer final : public JFrameConsumer,
   }
 
   // Streaming form only: mid-stream Figure-9 report over everything seen
-  // so far (the live --follow snapshot path).
+  // so far (the `jigtool follow` snapshot path).
   InterferenceReport SnapshotReport() const { return tracker_.Snapshot(); }
 
   const InterferenceReport& report() const { return report_; }
@@ -499,7 +499,7 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
   // Streaming form only: the incrementally reconstructed transport layer.
   const TransportReconstruction& transport() const { return transport_; }
   // Streaming form only: mid-stream Figure-11 report over every flow seen
-  // so far (the live --follow snapshot path).
+  // so far (the `jigtool follow` snapshot path).
   TcpLossReport SnapshotReport() const {
     return ComputeTcpLoss(tracker_.Snapshot(), config_);
   }

@@ -20,11 +20,6 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace jig {
 namespace {
 
@@ -150,10 +145,6 @@ struct PipelineMetrics {
   obs::Counter& arena_recycled = obs::MetricRegistry::Global().GetCounter(
       "jig_arena_jframes_recycled_total",
       "JFrame carcasses recycled through merge arena pools");
-  obs::Counter& pin_failures = obs::MetricRegistry::Global().GetCounter(
-      "jig_pipeline_pin_failures_total",
-      "Worker CPU-pinning attempts the kernel rejected (fell back to "
-      "normal scheduling)");
 };
 
 PipelineMetrics& Metrics() {
@@ -528,30 +519,6 @@ struct MergeSession::Impl {
     return progress;
   }
 
-  // Best-effort round-robin CPU pinning for shard workers (Linux only;
-  // failure — a restricted affinity mask, fewer CPUs than advertised —
-  // falls back to normal scheduling).  Scheduling only: the round barrier
-  // fixes the merge order wherever the workers run.
-  void MaybePin(std::thread& t, unsigned index) {
-#if defined(__linux__)
-    if (!config.pin_threads) return;
-    unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) ncpu = 1;
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    CPU_SET(index % ncpu, &cpus);
-    // "Silently a no-op" (pipeline.h) means the pipeline keeps working, not
-    // that the failure is invisible: count rejections so a deployment that
-    // thinks it pinned (cgroup cpuset, restricted mask) can see it did not.
-    if (pthread_setaffinity_np(t.native_handle(), sizeof(cpus), &cpus) != 0) {
-      if (obs::Enabled()) Metrics().pin_failures.Add(1);
-    }
-#else
-    (void)t;
-    (void)index;
-#endif
-  }
-
   void StartPool() {
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
@@ -580,7 +547,6 @@ struct MergeSession::Impl {
           }
         }
       });
-      MaybePin(pool.back(), w);
     }
   }
 

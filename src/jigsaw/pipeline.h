@@ -81,13 +81,6 @@ struct MergeConfig {
   // pipeline degrades to the plain watermark backpressure it has without a
   // spill tier.
   std::uint64_t max_spill_bytes = 0;
-  // Pin shard worker threads round-robin across CPUs (Linux:
-  // pthread_setaffinity_np; elsewhere, and on failure, silently a no-op).
-  // Scheduling only — the merge pass reads the shard queues only between
-  // rounds (the sink overlaps a round, the merge pass does not), so the
-  // merge order is fixed wherever the workers run and the stream stays
-  // byte-identical.
-  bool pin_threads = false;
 };
 
 // Throws std::invalid_argument on inconsistent configuration (today:

@@ -6,8 +6,8 @@
 // and hand it to whichever writers you need; the two expositions of one
 // snapshot are guaranteed to agree.
 //
-//   * ToPrometheusText — what `jigtool stats` prints and `live_monitor
-//     --metrics-interval` dumps: HELP/TYPE comment lines, cumulative
+//   * ToPrometheusText — what `jigtool stats` prints, every interval
+//     while tailing and once at the end: HELP/TYPE comment lines, cumulative
 //     histogram buckets with le="..." labels and a +Inf terminal bucket,
 //     _sum/_count series.  Scrapeable as-is.
 //   * ToJson — what `jigtool merge --stats-json` writes: one object with

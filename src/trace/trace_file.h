@@ -100,21 +100,9 @@ class TraceFileWriter {
   bool finished_ = false;
 };
 
-// Read-mode knobs for batch trace readers.
-struct TraceReadOptions {
-  // Map the file read-only and decompress blocks straight out of the page
-  // cache instead of copying them through buffered read().  Falls back to
-  // the buffered path automatically (and silently) when mapping is
-  // unavailable or fails; the jig_trace_mmap_active gauge reports how many
-  // readers currently hold a mapping.  Tail-follow readers ignore this —
-  // their re-poll logic needs the growing-file semantics of read().
-  bool use_mmap = false;
-};
-
 class TraceFileReader {
  public:
-  explicit TraceFileReader(const std::filesystem::path& path,
-                           TraceReadOptions options = {});
+  explicit TraceFileReader(const std::filesystem::path& path);
   ~TraceFileReader();
 
   TraceFileReader(const TraceFileReader&) = delete;
@@ -123,8 +111,6 @@ class TraceFileReader {
   const TraceHeader& header() const { return header_; }
   const std::vector<BlockIndexEntry>& index() const { return index_; }
   std::uint64_t TotalRecords() const;
-  // True when this reader serves blocks from an established memory map.
-  bool mmap_active() const { return map_ != nullptr; }
 
   // Sequential record access; nullopt at end of trace.
   std::optional<CaptureRecord> Next();
@@ -138,7 +124,6 @@ class TraceFileReader {
 
  private:
   void LoadBlock(std::size_t block_idx);
-  void TryMap();
 
   std::FILE* file_ = nullptr;
   TraceHeader header_;
@@ -146,9 +131,6 @@ class TraceFileReader {
   std::size_t current_block_ = 0;
   std::vector<CaptureRecord> block_records_;
   std::size_t block_pos_ = 0;
-  // mmap mode (null when inactive; the FILE* stays open as the fallback).
-  const std::uint8_t* map_ = nullptr;
-  std::size_t map_size_ = 0;
 };
 
 }  // namespace jig

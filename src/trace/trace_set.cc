@@ -43,8 +43,7 @@ void TraceSet::AdoptShards(std::vector<ChannelShard> shards) {
   }
 }
 
-TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir,
-                                 TraceReadOptions options) {
+TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir) {
   std::vector<std::filesystem::path> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.is_regular_file() && entry.path().extension() == ".jigt") {
@@ -54,7 +53,7 @@ TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir,
   std::vector<std::unique_ptr<RecordStream>> opened;
   opened.reserve(paths.size());
   for (const auto& p : paths) {
-    opened.push_back(std::make_unique<FileTrace>(p, options));
+    opened.push_back(std::make_unique<FileTrace>(p));
   }
   std::sort(opened.begin(), opened.end(),
             [](const auto& a, const auto& b) {

@@ -66,9 +66,7 @@ class MemoryTrace final : public RecordStream {
 // File-backed trace.
 class FileTrace final : public RecordStream {
  public:
-  explicit FileTrace(const std::filesystem::path& path,
-                     TraceReadOptions options = {})
-      : reader_(path, options) {}
+  explicit FileTrace(const std::filesystem::path& path) : reader_(path) {}
 
   const TraceHeader& header() const override { return reader_.header(); }
   std::optional<CaptureRecord> Next() override { return reader_.Next(); }
@@ -169,9 +167,7 @@ class TraceSet {
 
   // Opens every *.jigt file in a directory as one trace set, ordered by
   // radio id so analyses are deterministic regardless of directory order.
-  // `options` (e.g. use_mmap) applies to every opened trace.
-  static TraceSet OpenDirectory(const std::filesystem::path& dir,
-                                TraceReadOptions options = {});
+  static TraceSet OpenDirectory(const std::filesystem::path& dir);
 
   // Live counterpart of OpenDirectory: polls `dir` until `expected_traces`
   // *.jigt files have readable headers (with expected_traces == 0, until

@@ -1,10 +1,11 @@
 // Exit-code contract of the jigtool CLI (documented in examples/jigtool.cpp
 // and docs/OBSERVABILITY.md): 0 success, 1 unreadable/missing input or
-// unreachable peer, 2 usage error, 3 corrupt or truncated input.  The
-// contract covers the network doors too: serve-trace maps a refused
-// connection to 1 and a mid-stream disconnect (either direction) to 3.
-// Monitoring wrappers and the CI bench gate branch on these, so they are
-// pinned here.
+// unreachable peer, 2 usage error, 3 corrupt or truncated input — for every
+// trace-reading command.  The contract covers the network doors too:
+// serve-trace maps a refused connection to 1 and a mid-stream disconnect
+// (either direction) to 3.  Monitoring wrappers and the CI bench gate
+// branch on these, so they are pinned here, along with README's promise
+// that `follow` over a finished directory prints merge's summary.
 //
 // The jigtool binary is located via the JIGTOOL environment variable, or
 // ./jigtool relative to the test's working directory (ctest runs from the
@@ -12,12 +13,14 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "synthetic.h"
 #include "trace/net.h"
 #include "trace/trace_file.h"
 
@@ -32,8 +35,11 @@ std::string JigtoolPath() {
 }
 
 // Runs jigtool with `args`, returns its exit code (-1 on system() failure).
-int RunJigtool(const std::string& args) {
-  const std::string cmd = JigtoolPath() + " " + args + " >/dev/null 2>&1";
+// stdout goes to `stdout_path`, /dev/null by default.
+int RunJigtool(const std::string& args,
+               const std::string& stdout_path = "/dev/null") {
+  const std::string cmd =
+      JigtoolPath() + " " + args + " >" + stdout_path + " 2>/dev/null";
   const int status = std::system(cmd.c_str());
   if (status == -1) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -102,6 +108,54 @@ TEST_F(CliTest, StatsOnMissingOrEmptyInputExitsOne) {
 TEST_F(CliTest, StatsOnCorruptTraceExitsThree) {
   WriteGarbage(dir_ / "bad.jigt");
   EXPECT_EQ(RunJigtool("stats " + dir_.string()), 3);
+}
+
+// One mapping in main covers every trace-reading command: a garbage trace
+// is exit 3 whichever command meets it, never an uncaught abort.
+TEST_F(CliTest, TraceReadingCommandsOnCorruptTraceExitThree) {
+  WriteGarbage(dir_ / "r1.jigt");
+  for (const char* cmd : {"merge", "follow", "info", "timeline"}) {
+    SCOPED_TRACE(cmd);
+    EXPECT_EQ(RunJigtool(std::string(cmd) + " " + dir_.string()), 3);
+  }
+}
+
+// follow pre-checks for .jigt files like stats does, instead of waiting out
+// FollowDirectory's 30 s timeout.
+TEST_F(CliTest, FollowOnEmptyDirectoryExitsOneFast) {
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(RunJigtool("follow " + dir_.string()), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+}
+
+// README: follow over a finished directory prints the summary a batch
+// merge prints (the live stream is byte-identical to the batch stream).
+TEST_F(CliTest, FollowSummaryEqualsMergeSummary) {
+  const fs::path traces = dir_ / "traces";
+  jig::testing::MultiChannelNetwork(7).Build().WriteDirectory(traces);
+  const fs::path merge_out = dir_ / "merge.txt";
+  const fs::path follow_out = dir_ / "follow.txt";
+  ASSERT_EQ(RunJigtool("merge " + traces.string(), merge_out.string()), 0);
+  ASSERT_EQ(RunJigtool("follow " + traces.string(), follow_out.string()), 0);
+
+  const auto summary_line = [](const fs::path& path,
+                               const std::string& label) {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind(label, 0) == 0) return line;
+    }
+    return std::string();
+  };
+  for (const char* label :
+       {"radios synced:", "events:", "jframes:", "sync dispersion:",
+        "link layer:", "interference:", "tcp loss:", "stream window:"}) {
+    SCOPED_TRACE(label);
+    const std::string merged = summary_line(merge_out, label);
+    EXPECT_FALSE(merged.empty());
+    EXPECT_EQ(summary_line(follow_out, label), merged);
+  }
 }
 
 TEST_F(CliTest, InspectSpillOnMissingOrEmptyInputExitsOne) {

@@ -194,21 +194,19 @@ TEST_F(DecoderRegressionTest, TraceHostileRecordCountIsCorrupt) {
   const std::size_t entry0 = static_cast<std::size_t>(index_offset) + 4;
   PutU32At(bytes, entry0 + 24, 0xFFFFFFFFu);
   const auto path = Write("hostile_records.jigt", bytes);
-  for (const bool use_mmap : {false, true}) {
-    TraceFileReader reader(path, {.use_mmap = use_mmap});
-    EXPECT_THROW(
-        {
-          while (reader.Next()) {
-          }
-        },
-        TraceCorruptError);
-  }
+  TraceFileReader reader(path);
+  EXPECT_THROW(
+      {
+        while (reader.Next()) {
+        }
+      },
+      TraceCorruptError);
 }
 
 // Minimized crasher: an index entry offset of 2^64-1.  Buffered reads used
 // to feed it through a u64→long cast into fseek (failing as a plain
-// runtime_error, outside the taxonomy); the mmap path's bounds check could
-// wrap.  The reader now rejects offsets past the index region up front.
+// runtime_error, outside the taxonomy).  The reader now rejects offsets
+// past the index region up front.
 TEST_F(DecoderRegressionTest, TraceHostileEntryOffsetIsCorrupt) {
   Bytes bytes = MakeValidTrace(dir_);
   const std::uint64_t index_offset = GetU64(bytes, bytes.size() - 12);

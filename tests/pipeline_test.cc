@@ -355,13 +355,10 @@ TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
   ExpectEqualStats(single.stats, parallel.stats);
 }
 
-// The performance-knob matrix: mmap'd trace reads, worker pinning and
-// thread count are pure speed knobs — every combination must emit the
-// golden stream, byte for byte.  The traces go through a .jigt round trip
-// so the mmap'd read path is actually exercised; pinning only nails
-// workers to CPUs, and the round barrier fixes the merge order wherever
-// they run.
-TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapPinThreads) {
+// Stored traces merge to the golden stream at every thread count: the
+// traces go through a .jigt round trip, so the file reader's block decode
+// sits under the digest too.
+TEST(FileTraceRoundTrip, ByteIdenticalAcrossThreads) {
   namespace fs = std::filesystem;
   const GoldenStream& golden = NetworkGolden(21);
   auto mem_traces = MultiChannelNetwork(golden.seed).Build();
@@ -370,31 +367,15 @@ TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapPinThreads) {
   fs::remove_all(dir);
   mem_traces.WriteDirectory(dir);
 
-  for (bool use_mmap : {false, true}) {
-    for (bool pin : {false, true}) {
-      for (unsigned threads : {1u, 2u, 0u}) {
-        SCOPED_TRACE("mmap=" + std::to_string(use_mmap) + " pin=" +
-                     std::to_string(pin) + " threads=" +
-                     std::to_string(threads));
-        TraceReadOptions opts;
-        opts.use_mmap = use_mmap;
-        TraceSet traces = TraceSet::OpenDirectory(dir, opts);
-        ASSERT_EQ(traces.size(), mem_traces.size());
-        MergeConfig cfg;
-        cfg.threads = threads;
-        cfg.pin_threads = pin;
-        ExpectGolden(golden, MergeTraces(traces, cfg));
-      }
-    }
+  for (unsigned threads : {1u, 2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TraceSet traces = TraceSet::OpenDirectory(dir);
+    ASSERT_EQ(traces.size(), mem_traces.size());
+    MergeConfig cfg;
+    cfg.threads = threads;
+    ExpectGolden(golden, MergeTraces(traces, cfg));
   }
   fs::remove_all(dir);
-  // The pinning path must report rejected affinity calls instead of
-  // swallowing the return value: the failure counter is registered (even if
-  // zero on an unrestricted machine), so a cpuset-restricted deployment can
-  // tell "pinned" from "silently fell back".
-  const auto snapshot = obs::MetricRegistry::Global().Collect();
-  ASSERT_NE(snapshot.Find("jig_pipeline_pin_failures_total"), nullptr);
-  EXPECT_GE(snapshot.Value("jig_pipeline_pin_failures_total"), 0);
 }
 
 TEST(ParallelMerge, SinkRunsOnCallingThread) {

@@ -6,10 +6,10 @@ hand-maintained `ctest -R "a|b|c"` target list.  Hand-maintained lists rot:
 a new test lands, runs in the plain build, and silently never meets a
 sanitizer.  This script reconstructs the ctest inventory from the same
 sources CMakeLists.txt uses (the tests/*_test.cc glob plus the cc_ suite
-split and the Python lint test) and fails if any entry matches neither
+split and the Python tool tests) and fails if any entry matches neither
 job's -R pattern.
 
-Non-C++ ctest entries (the Python linter self-test) are exempt — there is
+Non-C++ ctest entries (the Python tool self-tests) are exempt — there is
 nothing for a C++ sanitizer to instrument.
 
 Usage: check_sanitizer_coverage.py [--ci <path>] [--tests <dir>]
@@ -26,7 +26,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # ctest entries with no C++ under them: sanitizer coverage is meaningless.
-NON_CPP_TESTS = {"lint_determinism_test"}
+NON_CPP_TESTS = ("lint_determinism_test", "metric_catalog_test")
 
 # Mirrors the cc_ suite split in CMakeLists.txt: cc_test the binary becomes
 # four ctest entries, each a gtest filter over the same code.
@@ -47,7 +47,7 @@ def ctest_inventory(tests_dir: str) -> list[str]:
             names.extend(CC_SPLIT)
         else:
             names.append(target)
-    names.append("lint_determinism_test")
+    names.extend(NON_CPP_TESTS)
     return names
 
 
